@@ -3,8 +3,8 @@ wall-time versus host count on generated stress meshes.
 
 Like :mod:`benchmarks.test_engine_scaling`, these measure the
 *machine*, not the model: how fast the per-source-host probe evaluator
-covers an all-pairs grid, what the sharded runner adds on top, and what
-the batched `select_paths_batch` table build costs as the mesh grows.
+covers an all-pairs grid and what the batched `select_paths_batch`
+table build costs as the mesh grows.
 Each test writes its own ``benchmarks/out/probing_scaling_<section>.json``
 (one file per section, so xdist workers never race on a shared file)
 for CI to archive the trajectory run over run; the assertions gate only
@@ -14,12 +14,10 @@ basic sanity and the ISSUE 4 acceptance budget, never exact timings.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
 from repro.core.reactive import build_routing_tables, run_probing
-from repro.engine import ShardedProbe
 from repro.netsim import Network, RngFactory
 from repro.scenarios import stress_mesh
 
@@ -68,29 +66,3 @@ def test_probe_and_table_build_scaling():
     # the ISSUE 4 acceptance budget, with headroom left to CI noise
     assert results["100"]["probe_seconds"] < 30.0
     assert results["100"]["table_seconds"] < 30.0
-
-
-def test_sharded_probing_speedup():
-    """Sequential vs sharded probing at 100 hosts — the record of how
-    much removing the last serial stage buys on this machine.  The
-    substrate is eager so neither side pays (or skips) lazy timeline
-    generation: the timing isolates the probe kernel itself."""
-    net, params = _network(100, substrate="eager")
-    t0 = time.perf_counter()
-    seq = run_probing(net, params, RngFactory(1))
-    t_seq = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    sharded = ShardedProbe(executor="thread").run(net, params, RngFactory(1))
-    t_shard = time.perf_counter() - t0
-    results = {
-        "hosts": 100,
-        "slots": seq.n_slots,
-        "workers": os.cpu_count(),
-        "sequential_seconds": round(t_seq, 4),
-        "sharded_seconds": round(t_shard, 4),
-        "speedup": round(t_seq / t_shard, 3),
-    }
-    _write("sharded_probing", results)
-    print(json.dumps(results, indent=2))
-    # bitwise invariance is the hard gate (also enforced in tests/engine)
-    assert sharded.fingerprint() == seq.fingerprint()

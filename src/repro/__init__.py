@@ -45,7 +45,6 @@ from .api import (
     MethodRegistry,
     RelayPolicySpec,
     Runner,
-    StageConfig,
     SweepResult,
     spec_grid,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "Runner",
     "Scenario",
     "ShardedCollector",
-    "StageConfig",
     "SweepResult",
     "Trace",
     "__version__",

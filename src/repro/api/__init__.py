@@ -26,7 +26,7 @@ families of workloads that run through this API unchanged.
 """
 
 from repro.core.methods import MethodRegistry, register_method
-from repro.engine import EngineConfig, StageConfig
+from repro.engine import EngineConfig
 from repro.relaysets import RelayPolicySpec
 
 from .experiment import Experiment
@@ -44,7 +44,6 @@ __all__ = [
     "MethodRegistry",
     "RelayPolicySpec",
     "Runner",
-    "StageConfig",
     "SweepResult",
     "register_method",
     "spec_grid",

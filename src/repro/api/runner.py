@@ -62,18 +62,13 @@ class Runner:
         ``engine.min_hosts`` hosts are collected by a
         :class:`~repro.engine.ShardedCollector` (all cores on one run,
         optionally over a lazy or shared-memory substrate) instead of
-        the sequential pipeline.  The probing subsystem of an engine
-        run is sharded too (:class:`~repro.engine.ShardedProbe`, tuned
-        by ``engine.probe=StageConfig(...)``): routing tables
-        are computed once in parallel, then shared read-only by every
-        collection shard.  ``engine.spill_dir`` additionally streams
-        shard traces through disk with bounded residency
-        (``engine.max_resident_shards``) for runs larger than RAM, and
-        ``engine.pipeline=True`` overlaps the probe/tables/collect/
-        merge stages themselves
-        (:func:`~repro.engine.collect_pipelined`): each collection
-        shard starts the moment its routing-table block is ready and
-        the merge streams while shards still run.
+        the sequential pipeline.  The engine probes, selects routing
+        tables and collects shard by shard with the stages overlapped:
+        each collection shard starts the moment its routing-table block
+        is ready, and the merge streams while shards still run.
+        ``engine.spill_dir`` additionally streams shard traces through
+        disk with bounded residency (``engine.max_resident_shards``) for
+        runs larger than RAM.
         Results are bitwise identical either way; smaller scenarios
         keep the cheaper sequential path.
     """

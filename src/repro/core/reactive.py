@@ -21,10 +21,10 @@ of source hosts, with each host drawing its phases and packet fates
 from its own named substream (``probing/<host>``).  A block therefore
 depends only on (network, params, seed, host) — never on which other
 blocks ran alongside it — which is what lets
-:class:`repro.engine.ShardedProbe` farm blocks out across cores and
-still merge (:func:`merge_probe_blocks`) into the bitwise-identical
-:class:`ProbeSeries`.  :func:`build_routing_tables` then selects paths
-for *all* slots at once via
+:class:`repro.engine.ShardedCollector` farm blocks out across cores,
+and any block layout merge (:func:`merge_probe_blocks`) into the
+bitwise-identical :class:`ProbeSeries`.  :func:`build_routing_tables`
+then selects paths for *all* slots at once via
 :func:`~repro.core.selector.select_paths_batch`, in slot blocks that
 bound the (G, n, n, n) candidate working set.
 """
@@ -163,8 +163,8 @@ class RoutingTables:
 class RoutingTableBlock:
     """Rows ``[host_lo, host_hi)`` of a run's :class:`RoutingTables`.
 
-    Built per collection shard by the pipelined engine
-    (:mod:`repro.engine.pipeline`), so a shard can start routing the
+    Built per collection shard by the engine
+    (:mod:`repro.engine.sharding`), so a shard can start routing the
     moment *its* source rows are selected instead of waiting for the
     whole mesh's tables.  Arrays are (G, host_hi - host_lo, n); row
     ``s - host_lo`` is bitwise identical to row ``s`` of the full
@@ -225,8 +225,8 @@ class ProbingPlan:
 
     Built once by :func:`prepare_probing` and handed to every
     :func:`probe_rows` evaluator — the serial loop in
-    :func:`run_probing` or the shard workers of
-    :class:`repro.engine.ShardedProbe`.
+    :func:`run_probing` or the probe shards of
+    :class:`repro.engine.ShardedCollector`.
     """
 
     network: Network
@@ -273,7 +273,7 @@ def probe_rows(plan: ProbingPlan, host_lo: int, host_hi: int) -> ProbeBlock:
     Each host draws its per-destination phases and packet fates from its
     own ``probing/<host>`` substream, so the block is identical whether
     it runs alone, alongside other blocks, or inside one big range —
-    the invariant behind :class:`repro.engine.ShardedProbe`.  Probes to
+    the invariant behind the engine's probe shards.  Probes to
     or from a failed host are counted as lost — which is exactly what
     lets reactive routing route around host and access failures.
     """
@@ -368,8 +368,8 @@ def run_probing(
     Each ordered pair is probed once per ``probe_interval_s`` with a
     stable per-pair phase.  This is the one-block case of the sharded
     evaluator: ``prepare_probing`` + a single ``probe_rows`` over every
-    source host, so :class:`repro.engine.ShardedProbe` output is
-    bitwise identical by construction.
+    source host, so any shard layout of ``probe_rows`` blocks merges
+    to the bitwise-identical series by construction.
     """
     plan = prepare_probing(network, params, rngs)
     return merge_probe_blocks(plan, [probe_rows(plan, 0, plan.n_hosts)])
@@ -427,8 +427,8 @@ def probe_estimates(
     probe series — the rolling windows run along the slot axis — so
     feeding a series whose rows are one :class:`ProbeBlock`'s source
     range yields exactly those rows of the full-mesh estimates, bitwise.
-    The pipelined engine folds estimates per probe shard this way while
-    other shards are still probing.
+    The engine folds estimates per probe shard this way while other
+    shards are still probing.
     """
     g_total = series.n_slots
     lost = series.lost.astype(np.float64)
@@ -563,8 +563,8 @@ def assemble_routing_tables(
     once; gaps and overlaps raise with the offending hosts (the same
     contract as :func:`merge_probe_blocks`).  On the estimates the
     blocks were built from, the result is bitwise identical to
-    :func:`build_routing_tables` — how the pipelined engine hands back
-    the same ``CollectionResult.tables`` as the barrier engine.
+    :func:`build_routing_tables` — how the engine hands back the same
+    ``CollectionResult.tables`` as the sequential :func:`collect`.
     """
     g_total, n = loss_est.shape[0], loss_est.shape[1]
     loss_best = np.empty((g_total, n, n), dtype=id_dtype(n))

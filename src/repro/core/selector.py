@@ -198,8 +198,8 @@ def select_paths_block(
     ``w = host_hi - host_lo`` requested source rows.  Every candidate
     entry and every ranked row depends only on its own (g, s, d), so
     the output is bitwise identical to slicing the full-mesh tables at
-    ``[:, host_lo:host_hi, :]`` — the invariant that lets the pipelined
-    engine (:mod:`repro.engine.pipeline`) start collecting a shard's
+    ``[:, host_lo:host_hi, :]`` — the invariant that lets the engine
+    (:mod:`repro.engine.sharding`) start collecting a shard's
     source range as soon as *its* table block is selected.
 
     Parameters

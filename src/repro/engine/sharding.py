@@ -1,48 +1,93 @@
-"""Sharded collection: one big ``collect()`` across all cores.
+"""The engine: one collection, sharded by source host, stages overlapped.
 
 :class:`ShardedCollector` partitions a run's source hosts into
-contiguous shards, evaluates each shard's schedule slice against the
-shared read-only :class:`~repro.netsim.network.Network`, and merges the
-partial traces with :meth:`repro.trace.Trace.concatenate`.  The shard
-layout cannot affect the output: every source block consumes its own
-named RNG substreams, the probing subsystem and schedule are generated
-once in the parent, and the merged rows land in canonical probe-id
-order — so 1 shard, 2 shards or one shard per host all fingerprint
-identically to the sequential pipeline.
+contiguous shards (:func:`plan_shards`), evaluates each shard against
+the shared read-only :class:`~repro.netsim.network.Network` on a
+serial, thread or process pool, and merges the partial traces into
+canonical probe-id order.  The shard layout cannot affect the output:
+every source block draws from its own named RNG substreams
+(``probing/<host>``, ``routes/<host>``, ``traffic/<host>``), so 1 shard,
+2 shards or one shard per host all fingerprint identically to the
+sequential :func:`repro.testbed.collect`.
+
+The scheduler keeps the stages (probe, tables, collect, merge) but only
+the one barrier the data flow forces:
+
+* **probe ↔ estimate fold** — :func:`~repro.core.reactive.probe_estimates`
+  is column-independent (the rolling windows run along the slot axis),
+  so each probe shard's rows of the full-mesh estimates are folded the
+  moment that shard lands.  The probe → tables boundary is the true
+  barrier: reactive routing reads the last probes of every leg, and a
+  relay leg can reach any host, so selection waits for the last fold.
+* **tables ↔ collect** — selection is row-independent
+  (:func:`~repro.core.selector.select_paths_block`), so tables are built
+  per collection-shard source range and each shard is submitted the
+  moment *its* :class:`~repro.core.reactive.RoutingTableBlock` is ready:
+  block ``j+1`` selects while shard ``j`` collects.
+* **collect ↔ merge / ingest** — the collection plan already holds every
+  row's probe id, so each row's merge destination is known up front
+  (:class:`repro.trace.store.StreamingMerge`) and each finished shard is
+  scattered, and fed to the streaming analyzer, while later shards
+  still run.
+
+Stage overlap moves wall-clock idle time, never a byte (held by the
+equivalence zoos under ``tests/engine/``).  With telemetry enabled the
+run records ``stage`` spans post hoc (overlapping stages cannot nest),
+per-shard pool queue waits, and, for spilled runs, a manifest in the
+run directory (see :mod:`repro.telemetry`).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from collections import deque
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    as_completed,
+    wait,
+)
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from repro import telemetry
+from repro.core.reactive import (
+    ProbeSeries,
+    ProbingPlan,
+    RoutingTableBlock,
+    assemble_routing_tables,
+    build_table_block,
+    prepare_probing,
+    probe_estimates,
+    probe_rows,
+)
 from repro.netsim.network import Network
+from repro.netsim.rng import RngFactory
 from repro.netsim.substrate import SharedTimelineBank
 from repro.telemetry import clock as _tclock
 from repro.testbed.collection import (
     CollectionPlan,
     CollectionResult,
     collect_rows,
-    prepare_collection,
+    prepare_collection_base,
 )
 from repro.testbed.datasets import DatasetSpec
-from repro.trace.records import Trace
+from repro.trace.store import StreamingMerge
 
-from . import spill as spill_mod
-from .spill import SpillPlan, collect_rows_spilled, run_slug
+from .spill import SpillPlan, clear_run_dir, collect_rows_spilled, run_slug
 
 __all__ = [
     "EngineConfig",
-    "StageConfig",
     "ShardedCollector",
     "plan_shards",
     "always_shard",
-    "run_shards",
     "auto_executor",
     "PROCESS_MIN_HOSTS",
 ]
@@ -72,95 +117,6 @@ def auto_executor(network: Network, n_hosts: int, min_hosts: int = PROCESS_MIN_H
     return "thread"
 
 
-def run_shards(plan, ranges, kernel, worker, initializer, executor, max_workers, on_result=None):
-    """Evaluate ``kernel(plan, lo, hi)`` over shard ``ranges`` on one of
-    the three executors — the dispatch shared by every sharded stage
-    (collection, probing).
-
-    ``serial`` (or a single range) runs inline; ``thread`` maps the
-    kernel over a pool (the kernels are NumPy-heavy and release the
-    GIL); ``process`` forks workers that inherit ``plan`` by memory
-    through ``initializer`` and run the module-level ``worker`` (it
-    must be picklable by name), so nothing but the (small) shard ranges
-    and partial results crosses the pipe.
-
-    ``on_result`` is called in the parent, in *completion* order, with
-    each result the moment its shard finishes — a slow shard cannot
-    head-of-line-block streaming ingest of faster ones (the analysis
-    accumulators are order-invariant, see
-    :mod:`repro.analysis.streaming`).  The returned list, by contrast,
-    is always in submission (= shard range) order, so merge call sites
-    never depend on completion timing.
-
-    With telemetry enabled, each shard's submit time is stamped and the
-    shard spans it records are annotated with their pool queue wait
-    (see :func:`_annotate_shard_waits`) when the fan-out drains.
-    Process workers return :class:`~repro.telemetry.ShardEnvelope`
-    wrappers (result + the worker's batched spans/counters); they are
-    unwrapped here — events absorbed into the parent's recorder —
-    before ``on_result`` or the caller sees the value, so every call
-    site keeps its pre-telemetry object flow.
-    """
-    rec = telemetry.get_recorder()
-    mark = rec.mark()
-    submit_ns: dict[tuple[int, int], int] = {}
-    if executor == "serial" or len(ranges) == 1:
-        out = []
-        for lo, hi in ranges:
-            if rec.enabled:
-                submit_ns[(lo, hi)] = _tclock.monotonic_ns()
-            part = telemetry.unwrap_envelope(kernel(plan, lo, hi))
-            if on_result is not None:
-                on_result(part)
-            out.append(part)
-        if rec.enabled:
-            _annotate_shard_waits(rec, rec.events_since(mark), submit_ns)
-        return out
-    workers = min(max_workers or os.cpu_count() or 1, len(ranges))
-    if executor == "thread":
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = []
-            for lo, hi in ranges:
-                if rec.enabled:
-                    submit_ns[(lo, hi)] = _tclock.monotonic_ns()
-                futures.append(pool.submit(kernel, plan, lo, hi))
-            out = _drain_completed(futures, on_result)
-    else:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError as exc:  # pragma: no cover - non-POSIX platforms
-            raise RuntimeError(
-                "the 'process' executor needs fork(); use executor='thread'"
-            ) from exc
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=ctx,
-            initializer=initializer,
-            initargs=(plan,),
-        ) as pool:
-            futures = []
-            for bounds in ranges:
-                if rec.enabled:
-                    submit_ns[tuple(bounds)] = _tclock.monotonic_ns()
-                futures.append(pool.submit(worker, bounds))
-            out = _drain_completed(futures, on_result)
-    if rec.enabled:
-        _annotate_shard_waits(rec, rec.events_since(mark), submit_ns)
-    return out
-
-
-def _drain_completed(futures, on_result):
-    """Drain futures as they complete; return results in submission order."""
-    index = {fut: i for i, fut in enumerate(futures)}
-    out: list = [None] * len(futures)
-    for fut in as_completed(index):
-        part = telemetry.unwrap_envelope(fut.result())
-        out[index[fut]] = part
-        if on_result is not None:
-            on_result(part)
-    return out
-
-
 def plan_shards(n_hosts: int, n_shards: int) -> list[tuple[int, int]]:
     """Contiguous host ranges ``[lo, hi)`` covering ``range(n_hosts)``.
 
@@ -183,40 +139,18 @@ def plan_shards(n_hosts: int, n_shards: int) -> list[tuple[int, int]]:
 
 
 @dataclass(frozen=True)
-class StageConfig:
-    """Execution settings for one engine stage (``probe`` or ``collect``).
-
-    ``None`` fields inherit the run-level ``EngineConfig.n_shards`` /
-    ``EngineConfig.executor``; :meth:`EngineConfig.stage` applies that
-    resolution rule and returns a fully-resolved ``StageConfig`` (whose
-    fields may still be ``None`` when the run-level knobs are auto).
-    """
-
-    shards: int | None = None
-    executor: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.shards is not None and self.shards < 1:
-            raise ValueError("shards must be None (inherit) or >= 1")
-        if self.executor is not None and self.executor not in _EXECUTORS:
-            raise ValueError(
-                f"executor must be None (inherit) or one of {_EXECUTORS}, "
-                f"got {self.executor!r}"
-            )
-
-
-@dataclass(frozen=True)
 class EngineConfig:
     """How the engine should execute one large collection.
 
-    ``n_shards=None`` means one shard per available core.  The
-    ``executor`` defaults to ``None`` — auto: ``"thread"`` normally
-    (the kernels are NumPy-heavy and release the GIL), ``"process"``
-    once ``shared_memory`` makes the substrate zero-copy across workers
-    and the mesh has at least ``process_min_hosts`` hosts; set it
-    explicitly to pin a choice (``"serial"`` runs shards inline —
-    debugging, tests).  ``min_hosts`` is the scenario size at which
-    :class:`repro.api.Runner` switches a run from the sequential
+    ``n_shards=None`` means one shard per available core; probing and
+    collection fan out over the same host ranges.  The ``executor``
+    defaults to ``None`` — auto: ``"thread"`` normally (the kernels are
+    NumPy-heavy and release the GIL), ``"process"`` once
+    ``shared_memory`` makes the substrate zero-copy across workers and
+    the mesh has at least ``process_min_hosts`` hosts; set it explicitly
+    to pin a choice (``"serial"`` runs every task inline — debugging,
+    tests, one-worker runs).  ``min_hosts`` is the scenario size at
+    which :class:`repro.api.Runner` switches a run from the sequential
     pipeline to the engine.  ``substrate="lazy"`` builds networks with
     on-demand timeline generation bounded by an LRU budget of
     ``max_cached_segments`` per cause; ``shared_memory=True`` parks the
@@ -224,7 +158,7 @@ class EngineConfig:
     pool workers read one physical copy.
 
     Out-of-core runs: ``spill_dir`` makes every shard write its partial
-    trace to disk as it completes and the merge stream through
+    trace to disk as it completes and the merge scatter into
     memory-mapped arrays (see :mod:`repro.engine.spill`), and
     ``max_resident_shards`` caps how many shards may be in flight — and
     therefore resident — at once.  Each run spills into its own
@@ -232,31 +166,6 @@ class EngineConfig:
     (see :func:`repro.engine.spill.run_slug`; sweeps over any spec axis
     may share one ``spill_dir``); the merged trace's columns are
     read-only memory maps under its ``merged/``.
-
-    The probing subsystem — formerly the last sequential stage of a
-    sharded run — is sharded too.  Per-stage execution is configured
-    through :class:`StageConfig`: ``probe=StageConfig(shards=...,
-    executor=...)`` scales the :class:`~repro.engine.ShardedProbe` that
-    computes the probe grid and routing tables once in the parent
-    (before collection shards fan out and share them read-only), and
-    ``collect=StageConfig(...)`` does the same for the collection
-    fan-out.  Unset (``None``) stage fields inherit the run-level
-    ``n_shards``/``executor`` — the single resolution rule of
-    :meth:`stage`.  The legacy paired knobs ``probe_shards``/
-    ``probe_executor`` are deprecated aliases for ``probe=``; they
-    still work (folded into ``probe`` with a :class:`DeprecationWarning`)
-    but cannot be combined with an explicit ``probe``.
-
-    ``pipeline=True`` replaces the barrier stage sequence (probe →
-    tables → collect → merge, each waiting for the last) with the
-    completion-order scheduler of :mod:`repro.engine.pipeline`:
-    estimates fold as probe shards land, each collection shard starts
-    the moment *its* routing-table block is selected, and the merge
-    (plus streaming analysis) scatters finished shards while later ones
-    are still collecting.  The output is bitwise identical — stage
-    overlap only moves wall-clock idle time, never a byte.  Pipelined
-    runs drive probing and collection through one shared pool, so
-    ``probe_executor`` is ignored in this mode.
 
     The engine parallelises *within* one run; the runner's
     ``max_workers`` parallelises *across* runs.  Combining both
@@ -271,15 +180,10 @@ class EngineConfig:
     min_hosts: int = 32
     substrate: str = "eager"
     max_cached_segments: int | None = None
-    probe_shards: int | None = None
-    probe_executor: str | None = None
-    probe: StageConfig | None = None
-    collect: StageConfig | None = None
     spill_dir: str | Path | None = None
     max_resident_shards: int | None = None
     shared_memory: bool = False
     process_min_hosts: int = PROCESS_MIN_HOSTS
-    pipeline: bool = False
 
     def __post_init__(self) -> None:
         if self.n_shards is not None and self.n_shards < 1:
@@ -295,32 +199,6 @@ class EngineConfig:
             raise ValueError("min_hosts must be >= 1")
         if self.substrate not in _SUBSTRATES:
             raise ValueError(f"substrate must be one of {_SUBSTRATES}, got {self.substrate!r}")
-        if self.probe is not None and not isinstance(self.probe, StageConfig):
-            raise TypeError("probe must be a StageConfig or None")
-        if self.collect is not None and not isinstance(self.collect, StageConfig):
-            raise TypeError("collect must be a StageConfig or None")
-        if self.probe_shards is not None or self.probe_executor is not None:
-            if self.probe is not None:
-                raise ValueError(
-                    "pass either probe=StageConfig(...) or the deprecated "
-                    "probe_shards/probe_executor aliases, not both"
-                )
-            warnings.warn(
-                "probe_shards/probe_executor are deprecated; use "
-                "probe=StageConfig(shards=..., executor=...)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            # StageConfig validates the alias values (>= 1, known executor);
-            # the aliases are cleared after folding so the canonical form
-            # lives in ``probe`` alone (keeps dataclasses.replace sound).
-            object.__setattr__(
-                self,
-                "probe",
-                StageConfig(shards=self.probe_shards, executor=self.probe_executor),
-            )
-            object.__setattr__(self, "probe_shards", None)
-            object.__setattr__(self, "probe_executor", None)
         if self.max_resident_shards is not None:
             if self.max_resident_shards < 1:
                 raise ValueError("max_resident_shards must be None or >= 1")
@@ -342,40 +220,127 @@ class EngineConfig:
         """The ``Network.build`` substrate flavour this config implies."""
         return "shared" if self.shared_memory else self.substrate
 
-    def stage(self, name: str) -> StageConfig:
-        """Resolved execution settings for one stage.
 
-        The single resolution rule of the per-stage config surface: the
-        stage's own :class:`StageConfig` fields win where set, the
-        run-level ``n_shards``/``executor`` fill the rest.  Fields may
-        still come back ``None`` — auto — when neither level pins them.
+# -- the pool ----------------------------------------------------------------
+# fork workers inherit the run's plans by memory, so nothing but shard
+# ranges, per-shard table blocks and partial results crosses the pipe.
+
+
+@dataclass(frozen=True, eq=False)
+class _RunContext:
+    """What a forked pool worker inherits: the run's read-only plans."""
+
+    probing: ProbingPlan | None  # None when no method probes
+    collection: CollectionPlan  # tables=None; each task ships its block
+    spill: Path | None
+
+
+_CTX: _RunContext | None = None
+
+
+def _init_worker(ctx: _RunContext) -> None:
+    global _CTX
+    _CTX = ctx
+
+
+def _shard_plan(plan: CollectionPlan, block: RoutingTableBlock | None, spill: Path | None):
+    """One collection shard's plan: the shared table-less plan with the
+    shard's own table block swapped in (a block duck-types
+    ``RoutingTables.lookup`` for its sources, the only rows the shard
+    asks about), wrapped in a :class:`SpillPlan` when spilling."""
+    if block is not None:
+        plan = replace(plan, tables=block)
+    return plan if spill is None else SpillPlan(plan=plan, directory=spill)
+
+
+def _probe_task(kernel, bounds: tuple[int, int]):
+    assert _CTX is not None, "worker used before initialisation"
+    return telemetry.run_instrumented(kernel, _CTX.probing, *bounds)
+
+
+def _collect_task(kernel, bounds: tuple[int, int], block: RoutingTableBlock | None):
+    assert _CTX is not None, "worker used before initialisation"
+    plan = _shard_plan(_CTX.collection, block, _CTX.spill)
+    return telemetry.run_instrumented(kernel, plan, *bounds)
+
+
+class _InlineExecutor(Executor):
+    """The ``serial`` executor: each task runs on the caller's thread,
+    at submit."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        fut: Future = Future()
+        try:
+            fut.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
+
+
+class _ShardPool:
+    """The one place executors differ.
+
+    ``serial`` runs tasks inline; ``thread`` calls ``kernel(plan, lo,
+    hi)`` on a thread pool; ``process`` forks workers that inherit the
+    run's plans through ``initializer`` and call the module-level
+    ``worker(kernel, bounds, *args)``.  Routing-table blocks are
+    selected on :attr:`tables`, one at a time (inline for ``serial``):
+    width 1 keeps the tables/collect overlap deterministic, and the
+    selection kernels release the GIL anyway.
+    """
+
+    def __init__(self, executor: str, workers: int, *, initializer, context) -> None:
+        self.forked = executor == "process"
+        self.tables: Executor = _InlineExecutor()
+        self.shards: Executor = self.tables
+        if executor != "serial":
+            self.tables = ThreadPoolExecutor(max_workers=1)
+        if executor == "thread":
+            self.shards = ThreadPoolExecutor(max_workers=workers)
+        elif self.forked:
+            try:
+                mp_context = multiprocessing.get_context("fork")
+            except ValueError as exc:  # pragma: no cover - non-POSIX platforms
+                raise RuntimeError(
+                    "the 'process' executor needs fork(); use executor='thread'"
+                ) from exc
+            self.shards = ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=mp_context,
+                initializer=initializer,
+                initargs=(context,),
+            )
+        self._shard_of: dict[Future, tuple[str, int, int]] = {}
+
+    def submit(self, stage: str, plan, bounds: tuple[int, int], *args, kernel, worker) -> Future:
+        """Evaluate ``kernel(plan, *bounds)`` for one ``stage`` shard."""
+        if self.forked:
+            fut = self.shards.submit(worker, kernel, bounds, *args)
+        else:
+            fut = self.shards.submit(kernel, plan, *bounds)
+        self._shard_of[fut] = (stage, *bounds)
+        return fut
+
+    def result(self, fut: Future):
+        """A finished task's value, its worker's telemetry absorbed.
+
+        A dead process worker surfaces as :class:`BrokenProcessPool`
+        naming the stage and host range whose result was lost.
         """
-        if name not in ("probe", "collect"):
-            raise ValueError(f"unknown stage {name!r}; stages are 'probe' and 'collect'")
-        override = self.probe if name == "probe" else self.collect
-        if override is None:
-            override = StageConfig()
-        return StageConfig(
-            shards=override.shards if override.shards is not None else self.n_shards,
-            executor=override.executor if override.executor is not None else self.executor,
-        )
+        try:
+            return telemetry.unwrap_envelope(fut.result())
+        except BrokenProcessPool as exc:
+            stage, lo, hi = self._shard_of[fut]
+            raise BrokenProcessPool(
+                f"a process worker died: {stage} shard [{lo}, {hi}) was lost"
+            ) from exc
 
+    def __enter__(self) -> "_ShardPool":
+        return self
 
-# -- process-pool plumbing ---------------------------------------------------
-# fork workers inherit the plan (network included) by memory, so nothing
-# but the (small) shard ranges and partial traces crosses the pipe.
-
-_WORKER_PLAN: CollectionPlan | None = None
-
-
-def _init_worker(plan: CollectionPlan) -> None:
-    global _WORKER_PLAN
-    _WORKER_PLAN = plan
-
-
-def _run_shard(bounds: tuple[int, int]) -> Trace:
-    assert _WORKER_PLAN is not None, "worker used before initialisation"
-    return telemetry.run_instrumented(collect_rows, _WORKER_PLAN, *bounds)
+    def __exit__(self, exc_type, *exc) -> None:
+        for executor in (self.shards, self.tables):
+            executor.shutdown(wait=True, cancel_futures=exc_type is not None)
 
 
 #: which per-stage counter suffix a shard span's waits fold into.
@@ -396,9 +361,8 @@ def _annotate_shard_waits(recorder, events, submit_ns: dict) -> None:
     fold into per-stage counters (``shard.queue_wait_ns.probe`` /
     ``shard.queue_wait_ns.collect``, likewise ``shard.exec_ns.*``) and
     into the stage-summed totals (``shard.queue_wait_ns`` /
-    ``shard.exec_ns``) — the numbers the pipelined scheduler reclaims
-    barrier idle time against.  Spans already annotated (an earlier
-    fan-out's) are left untouched.
+    ``shard.exec_ns``).  Spans already annotated (an earlier fan-out's)
+    are left untouched.
     """
     for ev in events:
         if ev.get("ev") != "span" or ev.get("cat") != "shard":
@@ -409,14 +373,19 @@ def _annotate_shard_waits(recorder, events, submit_ns: dict) -> None:
         base = submit_ns.get((args.get("host_lo"), args.get("host_hi")))
         if base is None:
             continue
-        wait = max(ev["ts_ns"] - base, 0)
-        args["queue_wait_ns"] = wait
+        wait_ns = max(ev["ts_ns"] - base, 0)
+        args["queue_wait_ns"] = wait_ns
         stage = _SPAN_STAGE.get(ev["name"])
         if stage is not None:
-            recorder.counter_add("shard.queue_wait_ns", wait)
+            recorder.counter_add("shard.queue_wait_ns", wait_ns)
             recorder.counter_add("shard.exec_ns", ev["dur_ns"])
-            recorder.counter_add(f"shard.queue_wait_ns.{stage}", wait)
+            recorder.counter_add(f"shard.queue_wait_ns.{stage}", wait_ns)
             recorder.counter_add(f"shard.exec_ns.{stage}", ev["dur_ns"])
+
+
+def _finished(pending) -> list[Future]:
+    """The futures of ``pending`` that are already done (no waiting)."""
+    return [fut for fut in pending if fut.done()]
 
 
 class ShardedCollector:
@@ -436,7 +405,7 @@ class ShardedCollector:
         self.config = config if config is not None else EngineConfig(**overrides)
 
     def resolve_shards(self, n_hosts: int) -> int:
-        wanted = self.config.stage("collect").shards or os.cpu_count() or 1
+        wanted = self.config.n_shards or os.cpu_count() or 1
         return max(1, min(wanted, n_hosts))
 
     def resolve_workers(self) -> int | None:
@@ -446,25 +415,6 @@ class ShardedCollector:
         if cfg.max_resident_shards is None:
             return cfg.max_workers
         return min(cfg.max_workers or os.cpu_count() or 1, cfg.max_resident_shards)
-
-    def probe_runner(self):
-        """The :class:`~repro.engine.ShardedProbe` this config implies.
-
-        The probe stage's :class:`StageConfig` resolves against the
-        run-level settings (see :meth:`EngineConfig.stage`), so one
-        config scales both stages together; a ``None`` executor
-        resolves per run (see :func:`auto_executor`).
-        """
-        from .probing import ShardedProbe  # sharding <-> probing cycle
-
-        cfg = self.config
-        probe = cfg.stage("probe")
-        return ShardedProbe(
-            n_shards=probe.shards,
-            executor=probe.executor,
-            max_workers=cfg.max_workers,
-            process_min_hosts=cfg.process_min_hosts,
-        )
 
     def collect(
         self,
@@ -477,83 +427,139 @@ class ShardedCollector:
     ) -> CollectionResult:
         """Collect ``spec`` sharded across the configured executor.
 
-        The probing stage runs first, itself sharded (see
-        :meth:`probe_runner`); the resulting routing tables are part of
-        the shared plan every collection shard reads.  With
-        ``spill_dir`` set, shards stream through disk instead of RAM
-        (see :mod:`repro.engine.spill`) — same bytes, bounded
-        residency, and the result records its run's spill directory.
+        With ``spill_dir`` set, shards stream through disk instead of
+        RAM (see :mod:`repro.engine.spill`) — same bytes, bounded
+        residency — and the result records its run directory.  Any
+        ``shard-*.npz`` files and ``merged/`` store an earlier
+        collection left in that directory are unlinked before the first
+        shard runs, so readers never fold two shard layouts; a live
+        earlier result's memory maps keep their old bytes.
 
-        ``analyzer`` (a
-        :class:`repro.analysis.StreamingAnalyzer`) has each completed
-        shard folded into it — ``analyzer.ingest(part)`` in the parent,
-        in completion order (the accumulators are order-invariant) — so
-        Table/Figure statistics are ready the moment the run (or even
-        just its first shards) are.
+        ``analyzer`` (a :class:`repro.analysis.StreamingAnalyzer`) has
+        each completed shard folded into it — ``analyzer.ingest(part)``
+        in the parent, in completion order (the accumulators are
+        order-invariant) — so Table/Figure statistics are ready the
+        moment the run is.
 
-        With ``pipeline=True`` the whole call is handed to the
-        completion-order scheduler (:mod:`repro.engine.pipeline`),
-        which overlaps the probe/tables/collect/merge stages instead of
-        running them as barriers; result, spans and manifest keep this
-        method's contract, and the trace is bitwise identical.
-
-        With telemetry enabled (:func:`repro.telemetry.enable`), the
-        full stage pipeline — probe, tables, collect, per-shard
-        kernels, spill writes, merge, analyze — records spans and
-        counters; a spilled run additionally persists them as a
-        ``telemetry.jsonl`` manifest in its run directory (see
-        :mod:`repro.telemetry`).  The output trace is byte-identical
-        either way."""
-        if self.config.pipeline:
-            from .pipeline import collect_pipelined  # sharding <-> pipeline cycle
-
-            return collect_pipelined(
-                self,
-                spec,
-                duration_s,
-                seed=seed,
-                include_events=include_events,
-                network=network,
-                analyzer=analyzer,
-            )
+        A serial run keeps the order table block *j*, collect *j*,
+        scatter *j*: at most one collected part waits to be scattered.
+        """
+        cfg = self.config
         rec = telemetry.get_recorder()
         mark = rec.mark()
         counters_base = rec.counter_snapshot()
-        plan = prepare_collection(
+        plan = prepare_collection_base(
             spec,
             duration_s,
             seed=seed,
             include_events=include_events,
             network=network,
-            substrate=self.config.resolved_substrate,
-            max_cached_segments=self.config.max_cached_segments,
-            probing=self.probe_runner(),
+            substrate=cfg.resolved_substrate,
+            max_cached_segments=cfg.max_cached_segments,
         )
-        ranges = plan_shards(plan.n_hosts, self.resolve_shards(plan.n_hosts))
-        executor = self.config.stage("collect").executor or auto_executor(
-            plan.network, plan.n_hosts, self.config.process_min_hosts
-        )
-        on_result = analyzer.ingest if analyzer is not None else None
+        n = plan.n_hosts
+        params = spec.network_config(duration_s, include_events=include_events).probing
+        ranges = plan_shards(n, self.resolve_shards(n))
+        executor = cfg.executor or auto_executor(plan.network, n, cfg.process_min_hosts)
+        probing = None
+        if any(m.needs_probing for m in plan.methods):
+            probing = prepare_probing(plan.network, params, RngFactory(seed))
         directory: Path | None = None
-        with rec.span("collect", cat="stage", executor=executor, shards=len(ranges)):
-            if self.config.spill_dir is not None:
-                directory = Path(self.config.spill_dir) / run_slug(plan)
-                directory.mkdir(parents=True, exist_ok=True)
-                parts = run_shards(
-                    SpillPlan(plan=plan, directory=directory),
-                    ranges,
-                    kernel=collect_rows_spilled,
-                    worker=spill_mod._run_shard,
-                    initializer=spill_mod._init_worker,
-                    executor=executor,
-                    max_workers=self.resolve_workers(),
-                    on_result=on_result,
-                )
+        if cfg.spill_dir is not None:
+            directory = Path(cfg.spill_dir) / run_slug(plan)
+            clear_run_dir(directory)
+        # merge destinations are known before any shard runs: the schedule
+        # holds every row's probe id, and contiguous ascending source
+        # ranges make schedule order the part-concatenation order
+        merge = StreamingMerge(
+            meta=plan.meta,
+            pids=plan.sched.probe_id,
+            offsets=[int(plan.bounds[lo]) for lo, _ in ranges] + [int(plan.bounds[n])],
+            out_dir=None if directory is None else directory / "merged",
+        )
+
+        #: stage -> [first, last] monotonic stamps, recorded as spans at the end
+        window: dict[str, list[int]] = {}
+
+        def stamp(stage: str) -> None:
+            now = _tclock.monotonic_ns()
+            window.setdefault(stage, [now, now])[1] = now
+
+        blocks: list[RoutingTableBlock | None] = [None] * len(ranges)
+        collect_submit: dict[tuple[int, int], int] = {}
+        workers = min(self.resolve_workers() or os.cpu_count() or 1, len(ranges))
+        context = _RunContext(probing=probing, collection=plan, spill=directory)
+        with _ShardPool(executor, workers, initializer=_init_worker, context=context) as pool:
+            pending: dict[Future, tuple[str, int]] = {}
+            ready: deque = deque()  # (shard, table block) pairs ready to collect
+
+            def submit_collect(j: int, block: RoutingTableBlock | None) -> Future:
+                stamp("collect")
+                collect_submit[ranges[j]] = _tclock.monotonic_ns()
+                shard = _shard_plan(plan, block, directory)
+                if directory is None:
+                    kw = dict(kernel=collect_rows, worker=_collect_task)
+                else:
+                    kw = dict(kernel=collect_rows_spilled, worker=_collect_task)
+                return pool.submit("collect", shard, ranges[j], block, **kw)
+
+            if probing is None:
+                ready.extend((j, None) for j in range(len(ranges)))
             else:
-                parts = self._run(plan, ranges, executor, on_result)
-        with rec.span("merge", cat="stage", parts=len(parts)):
-            trace = Trace.concatenate(parts)
+                estimates = _probe_stage(pool, probing, params, ranges, stamp)
+                stamp("tables")
+                for j, (lo, hi) in enumerate(ranges):
+                    fut = pool.tables.submit(
+                        build_table_block,
+                        *estimates,
+                        probing.interval,
+                        params,
+                        lo,
+                        hi,
+                        plan.network.paths.relay_set,
+                    )
+                    pending[fut] = ("tables", j)
+            while ready or pending:
+                if ready:
+                    # one shard per round, then reap without waiting: a
+                    # part is scattered before the next inline shard runs
+                    j, block = ready.popleft()
+                    pending[submit_collect(j, block)] = ("collect", j)
+                    done = _finished(pending)
+                else:
+                    done = wait(pending, return_when=FIRST_COMPLETED).done
+                # every finished part, then at most one table block: a
+                # block's shard is submitted before the next is taken
+                for fut in sorted(done, key=pending.__getitem__):
+                    kind, j = pending.pop(fut)
+                    value = pool.result(fut)
+                    stamp(kind)
+                    if kind == "tables":
+                        blocks[j] = value
+                        ready.append((j, value))
+                        break
+                    if analyzer is not None:
+                        analyzer.ingest(value)
+                    stamp("merge")
+                    with rec.span("merge-scatter", cat="pipeline", part=j):
+                        merge.add(j, value)
+
+        tables = None
+        if probing is not None:
+            tables = assemble_routing_tables(probing.interval, estimates[0], estimates[2], blocks)
+        trace = merge.finalize()
+        stamp("merge")
+
         if rec.enabled:
+            _annotate_shard_waits(rec, rec.events_since(mark), collect_submit)
+            args = {
+                "probe": {"hosts": n},
+                "tables": {"hosts": n},
+                "collect": {"executor": executor, "shards": len(ranges)},
+                "merge": {"parts": len(ranges)},
+            }
+            for stage, (t0, t1) in window.items():
+                rec.record_span(stage, cat="stage", ts_ns=t0, dur_ns=t1 - t0, **args[stage])
             rss = _tclock.peak_rss_bytes()
             if rss is not None:
                 rec.gauge_set("process.peak_rss_bytes", rss)
@@ -574,26 +580,42 @@ class ShardedCollector:
                     },
                 )
         return CollectionResult(
-            trace=trace, network=plan.network, tables=plan.tables, spill_dir=directory
+            trace=trace, network=plan.network, tables=tables, spill_dir=directory
         )
 
-    def _run(
-        self,
-        plan: CollectionPlan,
-        ranges: list[tuple[int, int]],
-        executor: str,
-        on_result=None,
-    ) -> list[Trace]:
-        return run_shards(
-            plan,
-            ranges,
-            kernel=collect_rows,
-            worker=_run_shard,
-            initializer=_init_worker,
-            executor=executor,
-            max_workers=self.resolve_workers(),
-            on_result=on_result,
-        )
+
+def _probe_stage(pool: _ShardPool, probing: ProbingPlan, params, ranges, stamp):
+    """Probe every shard, folding its rows of the full-mesh estimates
+    ``(loss_est, lat_est, failed)`` as it lands."""
+    rec = telemetry.get_recorder()
+    shape = (probing.n_slots, probing.n_hosts, probing.n_hosts)
+    loss_est, lat_est = np.empty(shape), np.empty(shape)
+    failed = np.empty(shape, dtype=bool)
+
+    def fold(fut: Future) -> None:
+        block = pool.result(fut)
+        rows = slice(block.host_lo, block.host_hi)
+        with rec.span("estimate-fold", cat="pipeline", host_lo=rows.start, host_hi=rows.stop):
+            series = ProbeSeries(interval=probing.interval, lost=block.lost, latency=block.latency)
+            loss_est[:, rows], lat_est[:, rows], failed[:, rows] = probe_estimates(series, params)
+
+    mark = rec.mark()
+    probe_submit: dict[tuple[int, int], int] = {}
+    pending: set[Future] = set()
+    stamp("probe")
+    for bounds in ranges:
+        probe_submit[bounds] = _tclock.monotonic_ns()
+        pending.add(pool.submit("probe", probing, bounds, kernel=probe_rows, worker=_probe_task))
+        # fold what already landed (inline: this block) before probing on
+        for fut in _finished(pending):
+            pending.remove(fut)
+            fold(fut)
+    for fut in as_completed(pending):
+        fold(fut)
+    stamp("probe")
+    if rec.enabled:
+        _annotate_shard_waits(rec, rec.events_since(mark), probe_submit)
+    return loss_est, lat_est, failed
 
 
 # re-exported convenience: an EngineConfig with sharding forced on for

@@ -1,18 +1,15 @@
 """Spill-to-disk collection: shard traces leave RAM as they complete.
 
-An in-RAM sharded run holds every partial :class:`~repro.trace.Trace`
-until the final merge, so peak residency grows with the whole run.  In
-spill mode each shard kernel writes its partial trace to
-``<spill_dir>/shard-<lo>-<hi>.npz`` (the ordinary
-:func:`repro.trace.save_trace` format) the moment it finishes and
-returns only the *path*; the merge then streams one shard at a time
-into memory-mapped output arrays
-(:func:`repro.trace.store.concatenate_stored`).  Residency is bounded
-by the shards in flight (``EngineConfig.max_resident_shards`` caps the
-worker count) plus one shard during the merge — while the output is
-bitwise identical to the in-RAM pipeline, because the shard bytes
-round-trip exactly through ``.npz`` and the merge applies the same
-stable probe-id sort.
+In spill mode each shard kernel writes its partial trace to
+``<run dir>/shard-<lo>-<hi>.npz`` (the ordinary
+:func:`repro.trace.save_trace` format, written atomically) the moment
+it finishes and returns only the *path*; the engine's
+:class:`~repro.trace.store.StreamingMerge` then scatters one shard at a
+time into memory-mapped output arrays under ``merged/``.  Residency is
+bounded by the shards in flight (``EngineConfig.max_resident_shards``
+caps the worker count) plus one shard during its scatter, while the
+output stays bitwise identical to the in-RAM run: the shard bytes
+round-trip exactly through ``.npz``.
 
 With the ``process`` executor this is also the cheapest transport:
 workers ship a file path over the pipe instead of pickling millions of
@@ -23,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,7 +28,14 @@ from repro import telemetry
 from repro.testbed.collection import CollectionPlan, collect_rows
 from repro.trace.store import save_trace
 
-__all__ = ["SpillPlan", "collect_rows_spilled", "run_slug", "shard_path", "shard_files"]
+__all__ = [
+    "SpillPlan",
+    "clear_run_dir",
+    "collect_rows_spilled",
+    "run_slug",
+    "shard_path",
+    "shard_files",
+]
 
 
 def run_slug(plan: CollectionPlan) -> str:
@@ -47,8 +52,8 @@ def run_slug(plan: CollectionPlan) -> str:
     relay token entirely, keeping their slugs byte-identical to what
     they were before candidate sets existed.  Two collections of the
     *same* run share a slug and produce identical bytes, so re-running
-    is idempotent (though not safe concurrently with reading a live
-    result of that exact run).
+    is idempotent; the re-run first unlinks the earlier files (see
+    :func:`clear_run_dir`), so a live earlier result keeps its bytes.
     """
     meta = plan.meta
     ident_t = (
@@ -96,6 +101,22 @@ def shard_files(directory: str | Path) -> list[Path]:
     return sorted(Path(directory).glob("shard-*.npz"))
 
 
+def clear_run_dir(directory: str | Path) -> None:
+    """Ready a run directory for a new collection of its run.
+
+    Creates it if needed and unlinks every ``shard-*.npz`` file and the
+    ``merged/`` store an earlier collection left behind, so a re-run
+    with a different shard layout cannot leave extra shards for
+    :func:`shard_files` to list.  Unlinking (rather than overwriting in
+    place) leaves a live earlier result's memory maps their old bytes.
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for path in shard_files(directory):
+        path.unlink()
+    shutil.rmtree(directory / "merged", ignore_errors=True)
+
+
 def collect_rows_spilled(splan: SpillPlan, host_lo: int, host_hi: int) -> Path:
     """Evaluate one shard and write it out; returns the ``.npz`` path."""
     trace = collect_rows(splan.plan, host_lo, host_hi)
@@ -105,18 +126,3 @@ def collect_rows_spilled(splan: SpillPlan, host_lo: int, host_hi: int) -> Path:
     if rec.enabled:
         rec.counter_add("spill.bytes", path.stat().st_size)
     return path
-
-
-# -- process-pool plumbing (see run_shards) ----------------------------------
-
-_WORKER_PLAN: SpillPlan | None = None
-
-
-def _init_worker(splan: SpillPlan) -> None:
-    global _WORKER_PLAN
-    _WORKER_PLAN = splan
-
-
-def _run_shard(bounds: tuple[int, int]) -> Path:
-    assert _WORKER_PLAN is not None, "worker used before initialisation"
-    return telemetry.run_instrumented(collect_rows_spilled, _WORKER_PLAN, *bounds)

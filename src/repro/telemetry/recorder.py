@@ -19,7 +19,7 @@ the parent's recorder, so their module-level workers wrap the kernel in
 batched events shipped back in a :class:`ShardEnvelope` alongside the
 shard's result and folded into the parent's recorder by
 :func:`unwrap_envelope` (called where results drain, see
-:func:`repro.engine.sharding.run_shards`).  Thread and serial executors
+:class:`repro.engine.ShardedCollector`).  Thread and serial executors
 record straight into the shared recorder; envelopes simply never appear.
 
 Determinism: recording touches no RNG and no simulation state, so the
@@ -189,7 +189,7 @@ class Recorder:
         """Record a span from timestamps taken earlier.
 
         The post-hoc form of :meth:`span`, for intervals whose bounds a
-        caller measured itself — e.g. the pipelined engine's logical
+        caller measured itself — e.g. the engine's overlapping logical
         stage spans, which overlap each other and so cannot be nested
         context managers.  ``ts_ns``/``dur_ns`` must come from the same
         monotonic clock spans use (:func:`repro.telemetry.clock.monotonic_ns`).

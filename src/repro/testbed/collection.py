@@ -20,11 +20,12 @@ and packet-fate randomness from its own named substreams
 first uses ``probing/<host>`` the same way).  A block's outcomes
 therefore depend only on (spec, seed, host) — never on which other
 blocks ran in the same process — which is what lets
-:class:`repro.engine.ShardedCollector` farm blocks out across cores
-(and :class:`repro.engine.ShardedProbe` do the same for the probe
-grid) and still produce the bitwise-identical trace.  The canonical row order of a finished trace is ascending
-``probe_id`` (applied here and by :meth:`Trace.concatenate`), so
-sequential and sharded runs serialise identically.
+:class:`repro.engine.ShardedCollector` farm blocks (and the probe
+grid's per-host blocks) out across cores and still produce the
+bitwise-identical trace.  The canonical row order of a finished trace
+is ascending ``probe_id`` (applied here by :meth:`Trace.concatenate`,
+and by the engine's merge), so sequential and sharded runs serialise
+identically.
 """
 
 from __future__ import annotations
@@ -89,8 +90,9 @@ class CollectionPlan:
 
     Built once by :func:`prepare_collection` (substrate, probing,
     routing tables, schedule) and then handed to every evaluator —
-    the sequential loop in :func:`collect` or the shard workers of
-    :class:`repro.engine.ShardedCollector`.
+    the sequential loop in :func:`collect` — or by
+    :func:`prepare_collection_base` without the tables, for the shard
+    workers of :class:`repro.engine.ShardedCollector`.
     """
 
     meta: TraceMeta
@@ -204,9 +206,9 @@ def prepare_collection_base(
 
     Everything :func:`prepare_collection` builds *except* the probing
     subsystem and routing tables — the returned plan has
-    ``tables=None``.  The pipelined engine
-    (:mod:`repro.engine.pipeline`) starts from this plan and overlaps
-    table construction with collection instead of finishing it here.
+    ``tables=None``.  The engine (:mod:`repro.engine.sharding`) starts
+    from this plan and overlaps table construction with collection
+    instead of finishing it here.
     Every RNG substream is named (``schedule``, ``probing/<host>``,
     ...), so building the schedule without — or before — probing
     changes no draw: composing this with the probe/tables stages in any
@@ -267,20 +269,14 @@ def prepare_collection(
     network: Network | None = None,
     substrate: str = "eager",
     max_cached_segments: int | None = None,
-    probing=None,
 ) -> CollectionPlan:
     """Run the shared stages of a collection, exactly once per run.
 
     Substrate build (unless ``network`` is passed in), the probing
-    subsystem, routing tables and the measurement schedule all happen
-    exactly once per run, whatever the shard layout.  ``substrate`` /
+    subsystem, routing tables and the measurement schedule — the plan
+    :func:`collect_rows` evaluates against.  ``substrate`` /
     ``max_cached_segments`` configure the build (see
     :meth:`Network.build`) and are ignored for a prebuilt network.
-    ``probing`` optionally replaces the serial :func:`run_probing` with
-    a sharded runner — anything with a ``run(network, params, rngs) ->
-    ProbeSeries`` method, in practice :class:`repro.engine.ShardedProbe`;
-    the output is bitwise identical either way, so the resulting
-    routing tables can be shared read-only by every collection shard.
     """
     plan = prepare_collection_base(
         spec,
@@ -297,13 +293,8 @@ def prepare_collection(
         cfg = spec.network_config(duration_s, include_events=include_events)
         rngs = RngFactory(seed)
         tables: RoutingTables | None = None
-        with telemetry.span(
-            "probe", cat="stage", sharded=probing is not None, hosts=plan.n_hosts
-        ):
-            if probing is None:
-                series = run_probing(plan.network, cfg.probing, rngs)
-            else:
-                series = probing.run(plan.network, cfg.probing, rngs)
+        with telemetry.span("probe", cat="stage", hosts=plan.n_hosts):
+            series = run_probing(plan.network, cfg.probing, rngs)
         with telemetry.span("tables", cat="stage", hosts=plan.n_hosts):
             tables = build_routing_tables(
                 series, cfg.probing, relay_set=plan.network.paths.relay_set
@@ -434,7 +425,6 @@ def collect(
     plan = prepare_collection(
         spec, duration_s, seed=seed, include_events=include_events, network=network
     )
-    # concatenate of one part applies the canonical probe_id ordering,
-    # making this literally the one-shard case of the engine
+    # concatenate of one part applies the canonical probe_id ordering
     trace = Trace.concatenate([collect_rows(plan, 0, plan.n_hosts)])
     return CollectionResult(trace=trace, network=plan.network, tables=plan.tables)

@@ -189,7 +189,7 @@ class Trace:
         Debug helper for shard-merge boundaries: every merge path sorts
         by ``probe_id``, so a violation here means a merge kernel
         regressed.  Called automatically after :meth:`concatenate` and
-        :func:`repro.trace.store.concatenate_stored` when the
+        :meth:`repro.trace.store.StreamingMerge.finalize` when the
         ``REPRO_DEBUG_CHECKS`` environment variable is set (non-empty,
         not ``"0"``).  Returns ``self`` so it can be chained.
         """
@@ -271,19 +271,9 @@ class Trace:
         are sorted by ``probe_id``: the identifiers are random 63-bit
         values, so this is a deterministic total order that does not
         depend on how the run was sharded.
-
-        Parts may also be *paths* of spilled shard files written by
-        :func:`repro.trace.save_trace`; the merge then streams one
-        shard at a time into memory-mapped output arrays
-        (:func:`repro.trace.store.concatenate_stored`), bitwise
-        identical to the in-RAM merge but with bounded residency.
         """
         if not traces:
             raise ValueError("cannot concatenate zero traces")
-        if not isinstance(traces[0], Trace):
-            from .store import concatenate_stored  # records <-> store cycle
-
-            return concatenate_stored(traces)
         meta = require_same_run([t.meta for t in traces])
         kwargs = {
             name: np.concatenate([getattr(t, name) for t in traces])

@@ -7,15 +7,17 @@ the (much more expensive) collection.
 
 Spilled runs go through the same files: the engine writes each shard's
 partial trace with :func:`save_trace` as it completes, and
-:func:`concatenate_stored` merges the shards into canonical probe-id
-order one shard at a time, scattering rows into memory-mapped output
-arrays — so a merged trace larger than RAM never has to be resident
-all at once (only the 8-byte probe ids are, to compute the sort).
+:class:`StreamingMerge` scatters the shards into canonical probe-id
+order one shard at a time, into memory-mapped output arrays — so a
+merged trace larger than RAM never has to be resident all at once
+(only the 8-byte destination index is, computed from the probe ids).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,6 @@ from .records import Trace, TraceMeta, debug_checks_enabled, require_same_run
 __all__ = [
     "save_trace",
     "load_trace",
-    "concatenate_stored",
     "open_stored",
     "StreamingMerge",
 ]
@@ -68,14 +69,28 @@ def _meta_from_dict(raw: dict) -> TraceMeta:
 
 
 def save_trace(trace: Trace, path: str | Path) -> Path:
-    """Write a trace to ``path`` (``.npz`` appended if missing)."""
+    """Write a trace to ``path`` (``.npz`` appended if missing).
+
+    The write is atomic: the bytes go to a hidden temporary file in the
+    same directory (``.<name>.<pid>-<thread>.tmp``, which no
+    ``shard-*.npz`` listing matches), renamed over ``path`` only once
+    complete.  A reader never sees a truncated file, and a write that
+    fails leaves nothing.
+    """
     path = _npz_path(path)
     meta = _meta_to_dict(trace)
     arrays = {name: getattr(trace, name) for name in Trace.ARRAY_FIELDS}
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(
-        path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays
-    )
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            np.savez_compressed(
+                f, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays
+            )
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -90,106 +105,19 @@ def load_trace(path: str | Path) -> Trace:
     return Trace(meta=_meta_from_dict(meta_raw), extra=meta_raw.get("extra", {}), **arrays)
 
 
-def concatenate_stored(paths, out_dir: str | Path | None = None) -> Trace:
-    """Merge spilled shard files into one canonically-ordered trace.
-
-    The streaming counterpart of :meth:`Trace.concatenate`: ``paths``
-    name partial traces written by :func:`save_trace` (in the same part
-    order the in-RAM merge would receive), and the result is bitwise
-    identical — same global stable sort by ``probe_id``, same dtypes —
-    but built with bounded residency:
-
-    * pass 1 reads only each shard's ``probe_id`` column and computes
-      every row's destination in the merged order (O(rows) ints, not
-      O(rows) full records);
-    * pass 2 re-opens one shard at a time and scatters its columns into
-      memory-mapped ``.npy`` output arrays under ``out_dir`` (default:
-      ``<first shard's directory>/merged/``).
-
-    The returned trace's arrays are read-only memory maps over those
-    files, so downstream analysis pages data in on demand; callers that
-    want a private in-RAM copy can ``np.asarray`` the columns.
-    """
-    paths = [_npz_path(p) for p in paths]
-    if not paths:
-        raise ValueError("cannot concatenate zero traces")
-    out_dir = Path(out_dir) if out_dir is not None else paths[0].parent / "merged"
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    # pass 1: metas, dtypes and the global probe-id order
-    metas: list[TraceMeta] = []
-    dtypes: dict[str, np.dtype] = {}
-    pids: list[np.ndarray] = []
-    for i, p in enumerate(paths):
-        with np.load(p) as data:
-            metas.append(_meta_from_dict(json.loads(bytes(data["__meta__"]).decode())))
-            pids.append(data["probe_id"])
-            if i == 0:
-                dtypes = {name: data[name].dtype for name in Trace.ARRAY_FIELDS}
-    require_same_run(metas)
-    counts = [len(p) for p in pids]
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    total = int(offsets[-1])
-    order = np.argsort(np.concatenate(pids), kind="stable")
-    del pids
-    dest = np.empty(total, dtype=np.int64)
-    dest[order] = np.arange(total)
-    del order
-
-    # the run meta rides along, so the merged store is self-describing
-    # (shard files may be deleted once merged; open_stored re-opens it)
-    meta_dict = {
-        "dataset": metas[0].dataset,
-        "mode": metas[0].mode,
-        "horizon_s": metas[0].horizon_s,
-        "seed": metas[0].seed,
-        "host_names": list(metas[0].host_names),
-        "method_names": list(metas[0].method_names),
-        "extra": {},
-    }
-    (out_dir / "__meta__.json").write_text(json.dumps(meta_dict))
-
-    # pass 2: one shard at a time into memory-mapped outputs
-    outs = {
-        name: np.lib.format.open_memmap(
-            out_dir / f"{name}.npy", mode="w+", dtype=dtypes[name], shape=(total,)
-        )
-        for name in Trace.ARRAY_FIELDS
-    }
-    for i, p in enumerate(paths):
-        lo, hi = int(offsets[i]), int(offsets[i + 1])
-        rows = dest[lo:hi]
-        with np.load(p) as data:
-            for name in Trace.ARRAY_FIELDS:
-                outs[name][rows] = data[name]
-    for arr in outs.values():
-        arr.flush()
-    del outs
-
-    arrays = {
-        name: np.load(out_dir / f"{name}.npy", mmap_mode="r")
-        for name in Trace.ARRAY_FIELDS
-    }
-    merged = Trace(meta=metas[0], **arrays)
-    if debug_checks_enabled():
-        merged.assert_canonical_order("concatenate_stored")
-    return merged
-
-
 class StreamingMerge:
     """Incremental shard merge: scatter parts as they complete.
 
-    The pipelined engine's counterpart of :func:`concatenate_stored`
-    (and, for in-RAM parts, of :meth:`Trace.concatenate`): instead of
-    waiting for every shard before the two merge passes begin, the
-    caller precomputes the global probe-id order — the collection plan
-    already holds every row's ``probe_id`` in schedule order, which for
+    The engine's merge.  Instead of waiting for every shard, the caller
+    precomputes the global probe-id order — the collection plan already
+    holds every row's ``probe_id`` in schedule order, which for
     contiguous ascending source ranges *is* part-concatenation order —
     and each part is scattered into the output the moment it finishes,
     while other shards are still running.  The finalized trace is
-    bitwise identical to the barrier merge: same stable sort, same
-    dtypes, and (when spilling) the same ``.npy`` + ``__meta__.json``
-    layout :func:`open_stored` re-opens.
+    bitwise identical to :meth:`Trace.concatenate` of the same parts:
+    same stable sort, same dtypes.  Parts land in RAM arrays, or (with
+    ``out_dir``) in memory-mapped ``.npy`` files plus a
+    ``__meta__.json`` that :func:`open_stored` re-opens.
 
     Parameters
     ----------
@@ -285,8 +213,9 @@ class StreamingMerge:
     def finalize(self) -> Trace:
         """All parts in: flush (spilled) and return the merged trace.
 
-        Spilled outputs come back re-opened as read-only memory maps —
-        the same bounded-residency contract as :func:`concatenate_stored`.
+        Spilled outputs come back re-opened as read-only memory maps, so
+        downstream analysis pages data in on demand; callers that want a
+        private in-RAM copy can ``np.asarray`` the columns.
         """
         missing = [i for i, seen in enumerate(self._seen) if not seen]
         if missing:
@@ -309,20 +238,21 @@ class StreamingMerge:
 
 
 def open_stored(out_dir: str | Path) -> Trace:
-    """Re-open a merged store written by :func:`concatenate_stored`.
+    """Re-open a merged store written by :class:`StreamingMerge`
+    (a spilled engine run's ``merged/`` directory).
 
     The columns come back as read-only memory maps, so a trace larger
     than RAM can be analysed (or streamed through accumulators) without
     ever being fully resident.  Stores written before the run meta rode
-    along (no ``__meta__.json``) cannot be re-opened — re-merge the
-    shard files, or pass them to the analyzer directly.
+    along (no ``__meta__.json``) cannot be re-opened — re-run the
+    collection, or pass the shard files to the analyzer directly.
     """
     out_dir = Path(out_dir)
     meta_path = out_dir / "__meta__.json"
     if not meta_path.exists():
         raise FileNotFoundError(
             f"{out_dir} has no __meta__.json; it is not a merged trace store "
-            f"(or was written by an older version — re-merge the shards)"
+            f"(or was written by an older version — re-run the collection)"
         )
     meta_raw = json.loads(meta_path.read_text())
     arrays = {

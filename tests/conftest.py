@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.reactive import merge_probe_blocks, prepare_probing, probe_rows
+from repro.engine import plan_shards
 from repro.netsim import Network, NetworkConfig, RngFactory, config_2003
 from repro.netsim.topology import HostSpec
 from repro.scenarios import Scenario, TopologyFamily
@@ -59,6 +61,19 @@ def assert_traces_equal(a: Trace, b: Trace) -> None:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype, name
         np.testing.assert_array_equal(x, y, err_msg=name)
+
+
+def sharded_probe_series(network, params, rngs, n_shards, pool=None):
+    """The probe grid as the engine shards it: :func:`probe_rows` over
+    the :func:`plan_shards` ranges (mapped over ``pool`` when given, an
+    ``Executor``), merged with :func:`merge_probe_blocks`."""
+    plan = prepare_probing(network, params, rngs)
+    ranges = plan_shards(plan.n_hosts, n_shards)
+    if pool is None:
+        blocks = [probe_rows(plan, lo, hi) for lo, hi in ranges]
+    else:
+        blocks = list(pool.map(lambda bounds: probe_rows(plan, *bounds), ranges))
+    return merge_probe_blocks(plan, blocks)
 
 
 @pytest.fixture(scope="session")

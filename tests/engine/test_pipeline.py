@@ -1,32 +1,31 @@
-"""Pipelined-engine equivalence: overlapping the probe/tables/collect/
-merge stages must move wall-clock idle time, never a byte.
+"""Scheduler equivalence: overlapping the probe/tables/collect/merge
+stages must move wall-clock idle time, never a byte.
 
-The ISSUE-9 gate: ``EngineConfig(pipeline=True)`` fingerprints
-identically to the sequential pipeline and the barrier engine across
-the executor x shard-count x spill zoo, the streaming merge is byte
-equal to both merge paths it replaces, and the completion-order drain
-of ``run_shards`` delivers fast shards to ``on_result`` while a slow
-one is still running.
+The engine's one scheduler fingerprints identically to the sequential
+``collect()`` across the executor x shard-count x spill zoo, the
+streaming merge is byte equal to ``Trace.concatenate``, finished shards
+reach the streaming analyzer while a slow one is still running, and a
+dead process worker names the shard it lost.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.engine import ShardedCollector
-from repro.engine.sharding import run_shards
+from repro.engine import ShardedCollector, sharding
 from repro.relaysets import RelayPolicySpec
 from repro.scenarios import quiet_wide_area
 from repro.testbed import collect, dataset
 from repro.testbed.collection import collect_rows, prepare_collection
-from repro.trace import Trace, trace_fingerprint
-from repro.trace.store import StreamingMerge, concatenate_stored, save_trace
+from repro.trace import Trace, load_trace, trace_fingerprint
+from repro.trace.store import StreamingMerge, save_trace
 
 from ..conftest import assert_traces_equal
 
@@ -40,6 +39,14 @@ def sequential():
     return ds, collect(ds, DURATION, seed=SEED)
 
 
+def assert_store_matches(spill_dir, trace: Trace) -> None:
+    """The merged memory-mapped store holds ``trace``'s bytes, column
+    for column."""
+    for name in Trace.ARRAY_FIELDS:
+        stored = np.load(spill_dir / "merged" / f"{name}.npy")
+        assert stored.tobytes() == np.asarray(getattr(trace, name)).tobytes(), name
+
+
 class TestPipelinedEquivalence:
     """Bitwise identity of the overlapped schedule, across the zoo."""
 
@@ -47,44 +54,42 @@ class TestPipelinedEquivalence:
     @pytest.mark.parametrize("n_shards", [1, 2, 17])
     def test_in_ram_matches_sequential(self, sequential, executor, n_shards):
         ds, seq = sequential
-        col = ShardedCollector(
-            n_shards=n_shards, executor=executor, pipeline=True
-        ).collect(ds, DURATION, seed=SEED, network=seq.network)
+        col = ShardedCollector(n_shards=n_shards, executor=executor).collect(
+            ds, DURATION, seed=SEED, network=seq.network
+        )
         assert trace_fingerprint(col.trace) == trace_fingerprint(seq.trace)
         assert_traces_equal(col.trace, seq.trace)
 
     def test_tables_match_barrier_engine(self, sequential):
+        # the barrier reference is the sequential collect(): the whole
+        # probe grid, then the whole mesh's tables, then collection
         ds, seq = sequential
-        pipe = ShardedCollector(n_shards=4, executor="thread", pipeline=True).collect(
+        col = ShardedCollector(n_shards=4, executor="thread").collect(
             ds, DURATION, seed=SEED, network=seq.network
         )
-        barrier = ShardedCollector(n_shards=4, executor="thread").collect(
-            ds, DURATION, seed=SEED, network=seq.network
-        )
-        assert pipe.tables.fingerprint() == barrier.tables.fingerprint()
+        assert col.tables.fingerprint() == seq.tables.fingerprint()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="process executor needs fork()")
     def test_process_executor_matches_sequential(self, sequential):
         ds, seq = sequential
-        col = ShardedCollector(
-            n_shards=3, executor="process", max_workers=2, pipeline=True
-        ).collect(ds, DURATION, seed=SEED, network=seq.network)
+        col = ShardedCollector(n_shards=3, executor="process", max_workers=2).collect(
+            ds, DURATION, seed=SEED, network=seq.network
+        )
         assert_traces_equal(col.trace, seq.trace)
 
     def test_spilled_matches_barrier_spill_bytes(self, sequential, tmp_path):
+        # each shard file holds exactly the barrier (sequential-plan)
+        # shard's rows, and the merged store the sequential trace's bytes
         ds, seq = sequential
-        pipe = ShardedCollector(
-            n_shards=4, executor="thread", spill_dir=tmp_path / "pipe", pipeline=True
-        ).collect(ds, DURATION, seed=SEED, network=seq.network)
-        barrier = ShardedCollector(
-            n_shards=4, executor="thread", spill_dir=tmp_path / "barrier"
-        ).collect(ds, DURATION, seed=SEED, network=seq.network)
-        assert_traces_equal(pipe.trace, seq.trace)
-        # the merged memory-mapped store is the same bytes, file for file
-        for name in Trace.ARRAY_FIELDS:
-            a = np.load(pipe.spill_dir / "merged" / f"{name}.npy")
-            b = np.load(barrier.spill_dir / "merged" / f"{name}.npy")
-            assert a.tobytes() == b.tobytes(), name
+        col = ShardedCollector(n_shards=4, executor="thread", spill_dir=tmp_path).collect(
+            ds, DURATION, seed=SEED, network=seq.network
+        )
+        assert_traces_equal(col.trace, seq.trace)
+        assert_store_matches(col.spill_dir, seq.trace)
+        plan = prepare_collection(ds, DURATION, seed=SEED, network=seq.network)
+        for path in sorted(col.spill_dir.glob("shard-*.npz")):
+            lo, hi = (int(x) for x in path.name[len("shard-") : -len(".npz")].split("-"))
+            assert_traces_equal(load_trace(path), collect_rows(plan, lo, hi))
 
     def test_rtt_scenario_matches_sequential(self):
         sc = quiet_wide_area(n_hosts=8, seed=4)
@@ -92,7 +97,7 @@ class TestPipelinedEquivalence:
         try:
             ds = dataset(sc.name)
             seq = collect(ds, DURATION, seed=SEED)
-            col = ShardedCollector(n_shards=4, executor="thread", pipeline=True).collect(
+            col = ShardedCollector(n_shards=4, executor="thread").collect(
                 ds, DURATION, seed=SEED, network=seq.network
             )
             assert_traces_equal(col.trace, seq.trace)
@@ -105,7 +110,7 @@ class TestPipelinedEquivalence:
         ds, seq = sequential
         no_probe = replace(ds, probe_methods=("direct", "rand"))
         ref = collect(no_probe, DURATION, seed=SEED, network=seq.network)
-        col = ShardedCollector(n_shards=4, executor="thread", pipeline=True).collect(
+        col = ShardedCollector(n_shards=4, executor="thread").collect(
             no_probe, DURATION, seed=SEED, network=seq.network
         )
         assert col.tables is None
@@ -123,21 +128,21 @@ def sparse_sequential():
 
 
 class TestSparsePipelinedEquivalence:
-    """The ISSUE-10 zoo entry: sparse relay candidate sets ride the
-    sharded and pipelined engines unchanged — every shard carries the
-    RelaySet read-only, and the shard layout still cannot move a byte."""
+    """Sparse relay candidate sets ride the engine unchanged — every
+    shard carries the RelaySet read-only, and the shard layout still
+    cannot move a byte."""
 
     @pytest.mark.parametrize("executor", ["serial", "thread"])
     @pytest.mark.parametrize("n_shards", [1, 2, 17])
     def test_in_ram_matches_sequential(self, sparse_sequential, executor, n_shards):
         ds, seq = sparse_sequential
-        col = ShardedCollector(
-            n_shards=n_shards, executor=executor, pipeline=True
-        ).collect(ds, DURATION, seed=SEED, network=seq.network)
+        col = ShardedCollector(n_shards=n_shards, executor=executor).collect(
+            ds, DURATION, seed=SEED, network=seq.network
+        )
         assert trace_fingerprint(col.trace) == trace_fingerprint(seq.trace)
         assert_traces_equal(col.trace, seq.trace)
 
-    def test_barrier_engine_matches_sequential(self, sparse_sequential):
+    def test_tables_match_sequential(self, sparse_sequential):
         ds, seq = sparse_sequential
         col = ShardedCollector(n_shards=4, executor="thread").collect(
             ds, DURATION, seed=SEED, network=seq.network
@@ -148,28 +153,26 @@ class TestSparsePipelinedEquivalence:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="process executor needs fork()")
     def test_process_executor_matches_sequential(self, sparse_sequential):
         ds, seq = sparse_sequential
-        col = ShardedCollector(
-            n_shards=3, executor="process", max_workers=2, pipeline=True
-        ).collect(ds, DURATION, seed=SEED, network=seq.network)
+        col = ShardedCollector(n_shards=3, executor="process", max_workers=2).collect(
+            ds, DURATION, seed=SEED, network=seq.network
+        )
         assert_traces_equal(col.trace, seq.trace)
 
     def test_spilled_matches_in_ram_bytes(self, sparse_sequential, tmp_path):
         ds, seq = sparse_sequential
-        pipe = ShardedCollector(
-            n_shards=4, executor="thread", spill_dir=tmp_path / "pipe", pipeline=True
+        spilled = ShardedCollector(
+            n_shards=4, executor="thread", spill_dir=tmp_path / "spill"
         ).collect(ds, DURATION, seed=SEED, network=seq.network)
-        barrier = ShardedCollector(
-            n_shards=4, executor="thread", spill_dir=tmp_path / "barrier"
-        ).collect(ds, DURATION, seed=SEED, network=seq.network)
-        assert_traces_equal(pipe.trace, seq.trace)
-        for name in Trace.ARRAY_FIELDS:
-            a = np.load(pipe.spill_dir / "merged" / f"{name}.npy")
-            b = np.load(barrier.spill_dir / "merged" / f"{name}.npy")
-            assert a.tobytes() == b.tobytes(), name
+        in_ram = ShardedCollector(n_shards=4, executor="thread").collect(
+            ds, DURATION, seed=SEED, network=seq.network
+        )
+        assert_traces_equal(spilled.trace, seq.trace)
+        assert_store_matches(spilled.spill_dir, in_ram.trace)
 
 
 class TestStreamingMerge:
-    """The precomputed-destination merge is byte-for-byte the barrier merge."""
+    """The precomputed-destination merge is byte-for-byte the in-RAM
+    concatenation."""
 
     @pytest.fixture(scope="class")
     def parts(self, sequential):
@@ -191,12 +194,10 @@ class TestStreamingMerge:
         merged = merge.finalize()
         assert_traces_equal(merged, expected)
 
-    def test_spilled_matches_concatenate_stored(self, parts, tmp_path):
+    def test_spilled_matches_concatenate(self, parts, tmp_path):
         plan, traces, offsets = parts
-        paths = [
-            save_trace(t, tmp_path / f"shard-{j}") for j, t in enumerate(traces)
-        ]
-        expected = concatenate_stored(paths, out_dir=tmp_path / "barrier")
+        paths = [save_trace(t, tmp_path / f"shard-{j}") for j, t in enumerate(traces)]
+        expected = Trace.concatenate(traces)
         merge = StreamingMerge(
             plan.meta, plan.sched.probe_id, offsets, out_dir=tmp_path / "streaming"
         )
@@ -205,9 +206,8 @@ class TestStreamingMerge:
         merged = merge.finalize()
         assert_traces_equal(merged, expected)
         for name in Trace.ARRAY_FIELDS:
-            a = (tmp_path / "streaming" / f"{name}.npy").read_bytes()
-            b = (tmp_path / "barrier" / f"{name}.npy").read_bytes()
-            assert a == b, name
+            stored = np.load(tmp_path / "streaming" / f"{name}.npy")
+            assert stored.tobytes() == getattr(expected, name).tobytes(), name
 
     def test_guards(self, parts):
         plan, traces, offsets = parts
@@ -221,41 +221,90 @@ class TestStreamingMerge:
             merge.finalize()
 
 
-# -- completion-order drain (the on_result head-of-line fix) -----------------
+# -- completion-order drain ---------------------------------------------------
 
 
-def _gated_kernel(plan, lo, hi):
-    """Shard 0 blocks until released; later shards finish immediately."""
-    if lo == 0:
-        assert plan["release"].wait(timeout=30), "release never arrived"
-    return (lo, hi)
+class _GateOnShardOne:
+    """A stand-in analyzer: records each ingested part's first source
+    host and opens ``release`` once shard 1's part has arrived."""
+
+    def __init__(self, shard_one_lo: int) -> None:
+        self.shard_one_lo = shard_one_lo
+        self.release = threading.Event()
+        self.seen: list[int] = []
+
+    def ingest(self, part) -> None:
+        self.seen.append(int(part.src[0]))
+        if int(part.src[0]) >= self.shard_one_lo:
+            self.release.set()
 
 
-def test_slow_first_shard_does_not_block_on_result():
-    # regression for the pool.map drain: shard 1's result must reach
-    # on_result while shard 0 is still running — here shard 0 *cannot*
-    # finish until shard 1's on_result callback has released it, so the
-    # old submission-order drain would deadlock (and time out)
-    release = threading.Event()
-    seen = []
+def test_slow_first_shard_does_not_block_on_result(sequential, monkeypatch):
+    # shard 1's part must reach analyzer.ingest while shard 0 is still
+    # collecting — here shard 0 *cannot* finish until ingest has seen
+    # shard 1, so a submission-order drain would deadlock (and time out)
+    ds, seq = sequential
+    analyzer = _GateOnShardOne(shard_one_lo=9)  # 17 hosts, 2 shards: [0, 9) [9, 17)
+    real = sharding.collect_rows
 
-    def on_result(part):
-        seen.append(part)
-        if part == (1, 2):
-            release.set()
+    def gated(plan, host_lo, host_hi):
+        if host_lo == 0:
+            assert analyzer.release.wait(timeout=30), "shard 1 never reached ingest"
+        return real(plan, host_lo, host_hi)
 
-    out = run_shards(
-        {"release": release},
-        [(0, 1), (1, 2)],
-        kernel=_gated_kernel,
-        worker=_gated_kernel,
-        initializer=None,
-        executor="thread",
-        max_workers=2,
-        on_result=on_result,
+    monkeypatch.setattr(sharding, "collect_rows", gated)
+    col = ShardedCollector(n_shards=2, executor="thread", max_workers=2).collect(
+        ds, DURATION, seed=SEED, network=seq.network, analyzer=analyzer
     )
-    assert seen[0] == (1, 2)  # completion order: the fast shard streams first
-    assert out == [(0, 1), (1, 2)]  # the returned list stays in submission order
+    assert analyzer.seen[0] >= 9  # completion order: the fast shard streams first
+    assert len(analyzer.seen) == 2
+    assert_traces_equal(col.trace, seq.trace)
+
+
+def test_serial_run_scatters_each_part_before_the_next_shard(sequential, monkeypatch):
+    # the serial memory bound: table block j, collect j, scatter j — at
+    # most one collected part ever waits to be scattered
+    ds, seq = sequential
+    real = sharding.collect_rows
+    collected: list[int] = []
+    waiting: list[int] = []
+
+    def counting(plan, host_lo, host_hi):
+        collected.append(host_lo)
+        return real(plan, host_lo, host_hi)
+
+    class Analyzer:
+        def ingest(self, part):
+            waiting.append(len(collected) - (len(waiting) + 1))
+
+    monkeypatch.setattr(sharding, "collect_rows", counting)
+    col = ShardedCollector(n_shards=5, executor="serial").collect(
+        ds, DURATION, seed=SEED, network=seq.network, analyzer=Analyzer()
+    )
+    assert collected == sorted(collected) and len(collected) == 5
+    assert waiting == [0] * 5  # each part ingested before the next shard ran
+    assert_traces_equal(col.trace, seq.trace)
+
+
+# -- a dead process worker ----------------------------------------------------
+
+
+def _exit_on_last_shard(plan, host_lo, host_hi):
+    """A collect kernel whose worker process dies on the last host range."""
+    if host_hi == plan.n_hosts:
+        os._exit(3)
+    return collect_rows(plan, host_lo, host_hi)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="process executor needs fork()")
+def test_dead_process_worker_names_its_shard(sequential, monkeypatch):
+    # one worker runs the shards in order, so the last range's is the
+    # only result still pending when its worker dies
+    ds, seq = sequential
+    monkeypatch.setattr(sharding, "collect_rows", _exit_on_last_shard)
+    collector = ShardedCollector(n_shards=2, executor="process", max_workers=1)
+    with pytest.raises(BrokenProcessPool, match=r"collect shard \[9, 17\)"):
+        collector.collect(ds, DURATION, seed=SEED, network=seq.network)
 
 
 # -- stage overlap + queue-wait visibility -----------------------------------
@@ -264,14 +313,13 @@ def test_slow_first_shard_does_not_block_on_result():
 def test_stage_spans_overlap_and_waits_fold_per_stage(sequential):
     ds, seq = sequential
     with telemetry.recording() as rec:
-        ShardedCollector(
-            n_shards=4, executor="thread", max_workers=2, pipeline=True
-        ).collect(ds, DURATION, seed=SEED, network=seq.network)
+        ShardedCollector(n_shards=4, executor="thread", max_workers=2).collect(
+            ds, DURATION, seed=SEED, network=seq.network
+        )
         events = rec.events()
     spans = [e for e in events if e.get("ev") == "span"]
     stage = {e["name"]: e for e in spans if e["cat"] == "stage"}
-    for name in ("probe", "tables", "collect", "merge"):
-        assert stage[name]["args"]["pipelined"] is True
+    assert {"probe", "tables", "collect", "merge"} <= set(stage)
 
     # tables/collect overlap: shard 0 starts collecting while later
     # table blocks are still being selected (table pool width is 1)

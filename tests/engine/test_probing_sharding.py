@@ -1,8 +1,14 @@
 """Probing-engine equivalence: sharded probing and batched table builds
 must be bitwise identical to the sequential pipeline, for any shard
-layout, executor and scenario family."""
+layout, executor and scenario family.
+
+The sharded probe grid is :func:`probe_rows` over :func:`plan_shards`
+layouts merged with :func:`merge_probe_blocks` (serially or on a thread
+pool); the process executor is checked end to end through the routing
+tables the engine hands back (``CollectionResult.tables``)."""
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,10 +22,12 @@ from repro.core.reactive import (
     run_probing,
 )
 from repro.core.selector import select_paths
-from repro.engine import ShardedProbe
+from repro.engine import ShardedCollector
 from repro.netsim import Network, RngFactory
 from repro.scenarios import flash_crowd, quiet_wide_area, stress_mesh
 from repro.testbed import dataset
+
+from ..conftest import sharded_probe_series
 
 DURATION = 240.0
 SEED = 6
@@ -76,9 +84,7 @@ class TestProbeShardEquivalence:
         network, params, seq = reference_for(source_key)
         n_hosts = seq.n_hosts
         for n_shards in (1, 2, n_hosts):
-            sharded = ShardedProbe(n_shards=n_shards, executor="serial").run(
-                network, params, RngFactory(SEED)
-            )
+            sharded = sharded_probe_series(network, params, RngFactory(SEED), n_shards)
             assert sharded.fingerprint() == seq.fingerprint(), (
                 f"{source_key}: {n_shards} probe shards drifted from sequential"
             )
@@ -86,18 +92,15 @@ class TestProbeShardEquivalence:
 
     def test_thread_executor_matches(self, source_key):
         network, params, seq = reference_for(source_key)
-        sharded = ShardedProbe(n_shards=4, executor="thread").run(
-            network, params, RngFactory(SEED)
-        )
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            sharded = sharded_probe_series(network, params, RngFactory(SEED), 4, pool=pool)
         assert_series_equal(sharded, seq)
 
     def test_routing_tables_bitwise_identical(self, source_key):
         """Tables built from sharded series equal the sequential ones —
         the fingerprint covers every choice/estimate array."""
         network, params, seq = reference_for(source_key)
-        sharded = ShardedProbe(n_shards=3, executor="serial").run(
-            network, params, RngFactory(SEED)
-        )
+        sharded = sharded_probe_series(network, params, RngFactory(SEED), 3)
         assert (
             build_routing_tables(sharded, params).fingerprint()
             == build_routing_tables(seq, params).fingerprint()
@@ -125,11 +128,13 @@ def test_batched_selection_matches_per_slot_loop(source_key):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="process executor needs fork()")
 def test_process_executor_matches_sequential():
+    # forked probe shards feed the engine's tables: bitwise the tables
+    # built from the sequential probe series
     network, params, seq = reference_for("ronnarrow")
-    sharded = ShardedProbe(n_shards=3, executor="process", max_workers=3).run(
-        network, params, RngFactory(SEED)
+    col = ShardedCollector(n_shards=3, executor="process", max_workers=3).collect(
+        dataset("ronnarrow"), DURATION, seed=SEED, network=network
     )
-    assert_series_equal(sharded, seq)
+    assert col.tables.fingerprint() == build_routing_tables(seq, params).fingerprint()
 
 
 class TestProbeBlockPlumbing:
@@ -156,12 +161,3 @@ class TestProbeBlockPlumbing:
         for lo, hi in ((-1, 2), (3, 3), (0, plan.n_hosts + 1)):
             with pytest.raises(ValueError, match="invalid host range"):
                 probe_rows(plan, lo, hi)
-
-    def test_sharded_probe_validation(self):
-        for kwargs in (
-            dict(n_shards=0),
-            dict(executor="gpu"),
-            dict(max_workers=0),
-        ):
-            with pytest.raises(ValueError):
-                ShardedProbe(**kwargs)

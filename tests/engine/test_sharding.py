@@ -2,7 +2,6 @@
 identical to the sequential pipeline, for any shard layout, executor
 and scenario family."""
 
-import dataclasses
 import os
 
 import pytest
@@ -11,7 +10,6 @@ from repro.api import ExperimentSpec, Runner
 from repro.engine import (
     EngineConfig,
     ShardedCollector,
-    StageConfig,
     always_shard,
     plan_shards,
 )
@@ -86,84 +84,6 @@ class TestConfigValidation:
     def test_collector_rejects_config_plus_overrides(self):
         with pytest.raises(ValueError, match="not both"):
             ShardedCollector(EngineConfig(), n_shards=2)
-
-
-class TestStageConfig:
-    """The consolidated per-stage config surface: one resolution rule,
-    with the legacy paired probe knobs as deprecation-warning aliases."""
-
-    def test_stage_override_wins_inherit_fills(self):
-        cfg = EngineConfig(
-            n_shards=8,
-            executor="thread",
-            probe=StageConfig(shards=2),
-            collect=StageConfig(executor="serial"),
-        )
-        assert cfg.stage("probe") == StageConfig(shards=2, executor="thread")
-        assert cfg.stage("collect") == StageConfig(shards=8, executor="serial")
-
-    def test_unset_stages_inherit_run_level(self):
-        cfg = EngineConfig(n_shards=4, executor="serial")
-        for name in ("probe", "collect"):
-            assert cfg.stage(name) == StageConfig(shards=4, executor="serial")
-        # fully-auto config resolves to fully-auto stages
-        auto = EngineConfig().stage("collect")
-        assert auto.shards is None and auto.executor is None
-
-    def test_unknown_stage_rejected(self):
-        with pytest.raises(ValueError, match="unknown stage"):
-            EngineConfig().stage("merge")
-
-    def test_stage_config_validation(self):
-        with pytest.raises(ValueError):
-            StageConfig(shards=0)
-        with pytest.raises(ValueError):
-            StageConfig(executor="gpu")
-        with pytest.raises(TypeError):
-            EngineConfig(probe=3)
-        with pytest.raises(TypeError):
-            EngineConfig(collect="thread")
-
-    def test_deprecated_aliases_fold_with_warning(self):
-        with pytest.warns(DeprecationWarning, match="probe_shards/probe_executor"):
-            cfg = EngineConfig(probe_shards=3, probe_executor="serial")
-        assert cfg.probe == StageConfig(shards=3, executor="serial")
-        # the canonical form lives in ``probe`` alone after folding
-        assert cfg.probe_shards is None and cfg.probe_executor is None
-        assert cfg.stage("probe") == StageConfig(shards=3, executor="serial")
-
-    def test_aliased_config_equals_explicit_form(self):
-        with pytest.warns(DeprecationWarning):
-            aliased = EngineConfig(probe_shards=2)
-        assert aliased == EngineConfig(probe=StageConfig(shards=2))
-
-    def test_alias_plus_explicit_probe_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            EngineConfig(probe_shards=2, probe=StageConfig(shards=2))
-
-    def test_alias_values_still_validated(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                EngineConfig(probe_shards=0)
-
-    def test_aliased_config_survives_replace(self):
-        with pytest.warns(DeprecationWarning):
-            cfg = EngineConfig(probe_shards=3)
-        tweaked = dataclasses.replace(cfg, n_shards=2)  # no warning, no error
-        assert tweaked.probe == StageConfig(shards=3)
-        assert tweaked.n_shards == 2
-
-    def test_stage_configs_do_not_move_a_byte(self):
-        ds, seq = sequential_for("ronnarrow")
-        col = ShardedCollector(
-            EngineConfig(
-                n_shards=2,
-                executor="thread",
-                probe=StageConfig(shards=3, executor="serial"),
-                collect=StageConfig(shards=5),
-            )
-        ).collect(ds, DURATION, seed=6, network=seq.network)
-        assert_traces_equal(col.trace, seq.trace)
 
 
 #: sequential reference per zoo entry, collected once for the module.

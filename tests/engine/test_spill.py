@@ -5,27 +5,29 @@ large spilled run must complete inside a bounded memory budget."""
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.analysis import StreamingAnalyzer
 from repro.api import ExperimentSpec, Runner
 from repro.core.reactive import run_probing
 from repro.engine import (
     EngineConfig,
     ShardedCollector,
-    ShardedProbe,
     SharedTimelineBank,
     always_shard,
     auto_executor,
 )
+from repro.engine.spill import shard_files
 from repro.netsim import Network, RngFactory
 from repro.scenarios import flash_crowd, stress_mesh
 from repro.testbed import collect, dataset
 from repro.trace import trace_fingerprint
 
-from ..conftest import assert_traces_equal
+from ..conftest import assert_traces_equal, sharded_probe_series
 
 DURATION = 240.0
 
@@ -131,8 +133,26 @@ def test_process_executor_spills_paths_not_rows(tmp_path):
         )
     ).collect(ds, DURATION, seed=6, network=seq.network)
     assert_traces_equal(col.trace, seq.trace)
-    shard_files = sorted(p.name for p in tmp_path.glob("*/shard-*.npz"))
-    assert len(shard_files) == 3
+    assert len(list(tmp_path.glob("*/shard-*.npz"))) == 3
+
+
+def test_rerun_with_new_layout_clears_stale_shards(tmp_path):
+    # regression: a 2-shard and then a 4-shard collection of one run
+    # share a run directory; the second must not leave the first's
+    # shard files behind for readers to fold twice
+    ds, seq = sequential_for("ronnarrow")
+    first = ShardedCollector(
+        EngineConfig(n_shards=2, executor="serial", spill_dir=tmp_path)
+    ).collect(ds, DURATION, seed=6, network=seq.network)
+    second = ShardedCollector(
+        EngineConfig(n_shards=4, executor="serial", spill_dir=tmp_path)
+    ).collect(ds, DURATION, seed=6, network=seq.network)
+    assert second.spill_dir == first.spill_dir
+    assert len(shard_files(second.spill_dir)) == 4
+    assert StreamingAnalyzer.from_run_dir(second.spill_dir).n_rows == len(seq.trace)
+    # the earlier result's memory maps still read their own bytes
+    assert_traces_equal(first.trace, seq.trace)
+    assert_traces_equal(second.trace, seq.trace)
 
 
 def test_spilled_trace_is_memmapped(tmp_path):
@@ -164,9 +184,8 @@ class TestSharedMemorySubstrate:
         private = Network.build(hosts, cfg, DURATION, seed=6)
         shared = Network.build(hosts, cfg, DURATION, seed=6, substrate="shared")
         a = run_probing(private, cfg.probing, RngFactory(6))
-        b = ShardedProbe(n_shards=4, executor="thread").run(
-            shared, cfg.probing, RngFactory(6)
-        )
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            b = sharded_probe_series(shared, cfg.probing, RngFactory(6), 4, pool=pool)
         assert a.fingerprint() == b.fingerprint()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork()")

@@ -2,17 +2,21 @@
 builds its path table in seconds, probes + builds routing tables inside
 a bounded budget, and collects identically sharded or sequential."""
 
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core.reactive import build_routing_tables
-from repro.engine import ShardedCollector, ShardedProbe
+from repro.engine import ShardedCollector
 from repro.netsim import Network, RngFactory
 from repro.netsim.topology import build_topology
 from repro.scenarios import stress_mesh
 from repro.testbed import collect, dataset
 from repro.trace import trace_fingerprint
+
+from ..conftest import sharded_probe_series
 
 DURATION = 45.0
 
@@ -45,8 +49,10 @@ def test_probing_and_tables_within_budget(scenario):
     cfg = scenario.network_config()
     horizon = 300.0
     network = Network.build(hosts, cfg, horizon, seed=1, substrate="lazy")
+    workers = os.cpu_count() or 1
     t0 = time.perf_counter()
-    series = ShardedProbe(executor="thread").run(network, cfg.probing, RngFactory(1))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        series = sharded_probe_series(network, cfg.probing, RngFactory(1), workers, pool=pool)
     t_probe = time.perf_counter() - t0
     t0 = time.perf_counter()
     tables = build_routing_tables(series, cfg.probing)

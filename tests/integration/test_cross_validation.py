@@ -6,8 +6,8 @@ probe-by-probe :class:`~repro.testbed.ron.Overlay` and the vectorised
 run over the same substrate — and, when the event-driven node is fed
 the *same* probe outcomes slot by slot, produce identical per-slot
 best/runner-up routing choices (the replay harness below, run on a
-generated GeoCluster + RegionalOutage scenario against the sharded
-probing engine, not just canned configs).
+generated GeoCluster + RegionalOutage scenario against a sharded probe
+grid, not just canned configs).
 """
 
 import numpy as np
@@ -15,12 +15,11 @@ import pytest
 
 from repro.core.reactive import build_routing_tables, run_probing
 from repro.core.selector import select_paths
-from repro.engine import ShardedProbe
 from repro.netsim import Network, RngFactory, config_2003
 from repro.scenarios import GeoCluster, RegionalOutage, Scenario
 from repro.testbed.ron import Overlay, OverlayNode
 
-from ..conftest import tiny_hosts
+from ..conftest import sharded_probe_series, tiny_hosts
 
 HORIZON = 2400.0
 
@@ -134,8 +133,8 @@ REPLAY_SCENARIO = Scenario(
 def replay():
     """Sharded+vectorised tables and a slot-by-slot node replay.
 
-    The probe outcomes come from the sharded engine
-    (:class:`~repro.engine.ShardedProbe`); the event-driven
+    The probe outcomes come from a sharded probe grid (per-host
+    :func:`~repro.core.reactive.probe_rows` blocks); the event-driven
     :class:`~repro.testbed.ron.OverlayNode` machinery then consumes the
     identical outcomes probe by probe.  At each slot boundary the node
     estimates see exactly the probes from slots ``< g`` — the same
@@ -145,9 +144,7 @@ def replay():
     cfg = sc.network_config().with_overrides(major_events=sc.events(REPLAY_HORIZON))
     network = Network.build(sc.hosts(), cfg, REPLAY_HORIZON, seed=REPLAY_SEED)
     params = cfg.probing
-    series = ShardedProbe(n_shards=3, executor="serial").run(
-        network, params, RngFactory(REPLAY_SEED)
-    )
+    series = sharded_probe_series(network, params, RngFactory(REPLAY_SEED), 3)
     tables = build_routing_tables(series, params)
 
     n = series.n_hosts

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import textwrap
+from pathlib import Path
 
 
 def src(code: str) -> str:
@@ -11,7 +12,7 @@ def src(code: str) -> str:
 
 #: dispatch module registering a kernel defined in another file, the way
 #: repro.engine.sharding hands repro.testbed.collection.collect_rows to
-#: the pool.
+#: its pool.
 DISPATCH = src(
     """
     from mylib.kernels import collect
@@ -214,3 +215,26 @@ class TestExecutorCallableModuleLevel:
         }
         # 'make' itself is module-level, so this is clean...
         assert codes(sources, select=["SHARD002"]) == []
+
+
+class TestEngineRegistration:
+    """The engine's pool takes its callables as ``kernel=``/``worker=``
+    keywords, so SHARD001 keeps checking every real shard kernel."""
+
+    def test_engine_kernels_registered(self):
+        from repro_lint import LintConfig
+        from repro_lint.project import Project
+
+        root = Path(__file__).resolve().parents[2]
+        sources = {
+            path.relative_to(root).as_posix(): path.read_text()
+            for path in sorted((root / "src").rglob("*.py"))
+        }
+        project = Project.build(sources, LintConfig(src_roots=("src", "tools")))
+        assert {
+            "repro.testbed.collection.collect_rows",
+            "repro.core.reactive.probe_rows",
+            "repro.engine.spill.collect_rows_spilled",
+            "repro.engine.sharding._probe_task",
+            "repro.engine.sharding._collect_task",
+        } <= project.shard_kernels

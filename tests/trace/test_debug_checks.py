@@ -5,7 +5,7 @@ import pytest
 
 from repro.trace import Trace, save_trace
 from repro.trace.records import debug_checks_enabled
-from repro.trace.store import concatenate_stored
+from repro.trace.store import StreamingMerge
 
 from .test_trace import make_trace
 
@@ -66,14 +66,25 @@ class TestDebugChecksFlag:
         merged = Trace.concatenate(parts)  # sorted merge passes the check
         assert np.all(merged.probe_id[1:] >= merged.probe_id[:-1])
 
-    def test_concatenate_stored_checks_under_flag(self, monkeypatch, tmp_path):
+    def test_streaming_merge_checks_under_flag(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_DEBUG_CHECKS", "1")
-        paths = [
-            save_trace(make_trace(5), tmp_path / "a"),
-            save_trace(make_trace(5), tmp_path / "b"),
-        ]
-        merged = concatenate_stored(paths, out_dir=tmp_path / "merged")
+        parts = [make_trace(5), make_trace(5)]
+        paths = [save_trace(t, tmp_path / name) for t, name in zip(parts, "ab")]
+        pids = np.concatenate([t.probe_id for t in parts])
+        merge = StreamingMerge(parts[0].meta, pids, [0, 5, 10], out_dir=tmp_path / "merged")
+        for j, path in enumerate(paths):
+            merge.add(j, path)
+        merged = merge.finalize()  # sorted merge passes the check
         assert np.all(merged.probe_id[1:] >= merged.probe_id[:-1])
+
+    def test_broken_streaming_merge_is_caught(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DEBUG_CHECKS", "1")
+        t = make_trace(6)
+        monkeypatch.setattr(np, "argsort", lambda a, kind=None: np.arange(len(a))[::-1])
+        merge = StreamingMerge(t.meta, t.probe_id, [0, 6])
+        merge.add(0, t)
+        with pytest.raises(AssertionError, match="StreamingMerge"):
+            merge.finalize()
 
     def test_broken_merge_is_caught(self, monkeypatch):
         """If a merge kernel regressed, the flag turns it into a crash."""

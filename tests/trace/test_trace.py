@@ -1,5 +1,8 @@
 """Trace records, persistence and the Section 4.1 filters."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from repro.trace import (
     receive_window_filter,
     save_trace,
 )
+from repro.trace.store import StreamingMerge, open_stored
 
 
 def make_trace(n=10, mode="oneway", seed=0) -> Trace:
@@ -185,6 +189,21 @@ class TestStore:
         back = load_trace(tmp_path / name)  # suffix-less lookup still works
         np.testing.assert_array_equal(back.probe_id, t.probe_id)
 
+    def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch):
+        # a write that dies midway must not leave a truncated file at
+        # the final path (nor its temporary) for a live reader to find
+        def torn_write(file, **arrays):
+            if isinstance(file, (str, os.PathLike)):
+                Path(file).write_bytes(b"PK\x03\x04 torn")
+            else:
+                file.write(b"PK\x03\x04 torn")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez_compressed", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_trace(make_trace(3), tmp_path / "shard-00000-00003")
+        assert list(tmp_path.iterdir()) == []
+
     def test_save_never_double_appends(self, tmp_path):
         t = make_trace(3)
         first = save_trace(t, tmp_path / "run.v2")
@@ -193,7 +212,20 @@ class TestStore:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.v2.npz"]
 
 
+def stored_merge(parts, paths, out_dir) -> Trace:
+    """Merge spilled parts through :class:`StreamingMerge` into
+    memory-mapped columns under ``out_dir``, in reverse part order."""
+    offsets = np.concatenate([[0], np.cumsum([len(t) for t in parts])])
+    pids = np.concatenate([t.probe_id for t in parts])
+    merge = StreamingMerge(parts[0].meta, pids, offsets, out_dir=out_dir)
+    for j in reversed(range(len(paths))):
+        merge.add(j, paths[j])
+    return merge.finalize()
+
+
 class TestConcatenateStored:
+    """Spilled parts merged into a memory-mapped store."""
+
     def shards(self, tmp_path, n=30, parts=3):
         t = Trace.concatenate([make_trace(n, seed=5)])
         split = [t.select(np.arange(n) % parts == k) for k in range(parts)]
@@ -203,7 +235,7 @@ class TestConcatenateStored:
     def test_streamed_merge_is_bitwise_identical(self, tmp_path):
         t, split, paths = self.shards(tmp_path)
         in_ram = Trace.concatenate(split)
-        streamed = Trace.concatenate(paths)  # path dispatch
+        streamed = stored_merge(split, paths, tmp_path / "merged")
         assert streamed.meta == in_ram.meta
         for name in Trace.ARRAY_FIELDS:
             a, b = getattr(in_ram, name), getattr(streamed, name)
@@ -212,8 +244,8 @@ class TestConcatenateStored:
         np.testing.assert_array_equal(streamed.probe_id, t.probe_id)
 
     def test_merged_columns_are_readonly_memmaps(self, tmp_path):
-        _, _, paths = self.shards(tmp_path)
-        streamed = Trace.concatenate(paths)
+        _, split, paths = self.shards(tmp_path)
+        streamed = stored_merge(split, paths, tmp_path / "merged")
         assert isinstance(streamed.src, np.memmap)
         assert not streamed.src.flags.writeable
         merged_dir = tmp_path / "merged"
@@ -222,10 +254,8 @@ class TestConcatenateStored:
         )
 
     def test_open_stored_reopens_merged_store(self, tmp_path):
-        t, _, paths = self.shards(tmp_path)
-        streamed = Trace.concatenate(paths)
-        from repro.trace.store import open_stored
-
+        _, split, paths = self.shards(tmp_path)
+        streamed = stored_merge(split, paths, tmp_path / "merged")
         reopened = open_stored(tmp_path / "merged")
         assert reopened.meta == streamed.meta
         assert not reopened.src.flags.writeable
@@ -235,22 +265,22 @@ class TestConcatenateStored:
             )
 
     def test_open_stored_requires_meta(self, tmp_path):
-        from repro.trace.store import open_stored
-
         with pytest.raises(FileNotFoundError, match="__meta__.json"):
             open_stored(tmp_path)
 
     def test_stored_merge_rejects_mixed_runs(self, tmp_path):
-        a = save_trace(make_trace(4, seed=0), tmp_path / "a")
-        b = save_trace(make_trace(4, seed=1), tmp_path / "b")
+        a, b = make_trace(4, seed=0), make_trace(4, seed=1)
+        merge = StreamingMerge(
+            a.meta, np.concatenate([a.probe_id, b.probe_id]), [0, 4, 8], out_dir=tmp_path
+        )
+        merge.add(0, save_trace(a, tmp_path / "a"))
         with pytest.raises(ValueError, match="seed"):
-            Trace.concatenate([a, b])
+            merge.add(1, save_trace(b, tmp_path / "b"))
 
     def test_zero_paths_rejected(self):
-        from repro.trace.store import concatenate_stored
-
-        with pytest.raises(ValueError, match="zero"):
-            concatenate_stored([])
+        t = make_trace(2)
+        with pytest.raises(ValueError, match="n_parts"):
+            StreamingMerge(t.meta, np.zeros(0, dtype=np.uint64), [0])
 
 
 class TestFilters:

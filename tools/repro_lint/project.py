@@ -1,9 +1,9 @@
 """Project model: the analyzed file set and its cross-file facts.
 
 Most rules are local to one file, but the shard-purity rules are not:
-``run_shards(kernel=collect_rows, ...)`` in ``repro.engine.sharding``
-registers a function *defined in* ``repro.testbed.collection`` as a
-shard kernel.  The project pass therefore runs first, over every file:
+``pool.submit(..., kernel=probe_rows, worker=_probe_task)`` in
+``repro.engine.sharding`` registers a function *defined in*
+``repro.core.reactive`` as a shard kernel.  The project pass therefore runs first, over every file:
 it derives each file's module name from the configured source roots,
 collects every function definition (with its nesting level), resolves
 the callables handed to the sharded dispatch, and hands the resulting
