@@ -30,6 +30,7 @@ what makes million-probe trace generation tractable.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +38,24 @@ import numpy as np
 __all__ = [
     "EpisodeSet",
     "Timeline",
+    "check_episodes",
+    "check_timelines",
+    "draw_counts",
+    "draw_episodes",
     "generate_poisson_episodes",
+    "hourly_rates",
     "lognormal_sampler",
+    "max_sweep",
     "pareto_sampler",
 ]
+
+
+def check_episodes(duration: np.ndarray, severity: np.ndarray) -> None:
+    """Validate episode durations (non-negative) and severities (in [0, 1])."""
+    if np.any(duration < 0):
+        raise ValueError("episode durations must be non-negative")
+    if np.any((severity < 0) | (severity > 1)):
+        raise ValueError("episode severities must lie in [0, 1]")
 
 
 @dataclass
@@ -59,10 +74,7 @@ class EpisodeSet:
             raise ValueError("start/duration/severity must have identical shapes")
         if self.start.ndim != 1:
             raise ValueError("episode arrays must be one-dimensional")
-        if np.any(self.duration < 0):
-            raise ValueError("episode durations must be non-negative")
-        if np.any((self.severity < 0) | (self.severity > 1)):
-            raise ValueError("episode severities must lie in [0, 1]")
+        check_episodes(self.duration, self.severity)
 
     def __len__(self) -> int:
         return int(self.start.shape[0])
@@ -131,56 +143,7 @@ class Timeline:
         """
         if len(episodes) == 0:
             return Timeline.quiet(horizon, corr_length)
-        starts = np.clip(episodes.start, 0.0, horizon)
-        ends = np.clip(episodes.end, 0.0, horizon)
-        keep = ends > starts
-        starts, ends, sev = starts[keep], ends[keep], episodes.severity[keep]
-        if starts.size == 0:
-            return Timeline.quiet(horizon, corr_length)
-
-        # Sweep line: +severity at start, -severity at end.  We keep a
-        # multiset of active severities via sorting the event list and
-        # tracking, at each boundary, the max of active episodes.  For the
-        # episode counts we deal with (thousands per segment) an O(k^2)
-        # worst case would be too slow, so we use the standard "decompose
-        # into atomic intervals" approach: collect all boundaries, then
-        # compute the max severity on each atomic interval via np.maximum
-        # reduceat over episodes that cover it.  To stay O(k log k) we
-        # instead sweep with a priority-queue-free trick: sort events and
-        # maintain max via a small heap.
-        import heapq
-
-        order = np.argsort(starts, kind="stable")
-        starts, ends, sev = starts[order], ends[order], sev[order]
-        bounds: list[float] = [0.0]
-        values: list[float] = [0.0]
-        active: list[tuple[float, float]] = []  # (-severity, end)
-        event_times = np.unique(np.concatenate([starts, ends]))
-        idx = 0
-        n = starts.size
-        for t in event_times:
-            # admit episodes starting at or before t
-            while idx < n and starts[idx] <= t:
-                heapq.heappush(active, (-float(sev[idx]), float(ends[idx])))
-                idx += 1
-            # evict episodes that have ended by t
-            while active and active[0][1] <= t:
-                heapq.heappop(active)
-            current = -active[0][0] if active else 0.0
-            if values[-1] != current:
-                if bounds[-1] == t:
-                    values[-1] = current
-                    if len(values) >= 2 and values[-2] == current:
-                        bounds.pop()
-                        values.pop()
-                else:
-                    bounds.append(float(t))
-                    values.append(current)
-        boundaries = np.array(bounds)
-        severity = np.array(values)
-        if boundaries[0] != 0.0:
-            boundaries = np.insert(boundaries, 0, 0.0)
-            severity = np.insert(severity, 0, 0.0)
+        boundaries, severity = max_sweep(episodes.start, episodes.end, episodes.severity, horizon)
         return Timeline(boundaries, severity, horizon, corr_length)
 
     # -- queries -------------------------------------------------------
@@ -223,6 +186,89 @@ class Timeline:
         )
 
 
+def max_sweep(
+    start: np.ndarray, end: np.ndarray, severity: np.ndarray, horizon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Boundaries and severities of the max-severity sweep over episodes.
+
+    The raw form of :meth:`Timeline.from_episodes`: episodes are clipped
+    to ``[0, horizon]``, empty ones dropped, and where several are
+    active the highest severity holds.  No episode left gives the quiet
+    timeline, ``([0.0], [0.0])``.
+    """
+    starts = np.clip(start, 0.0, horizon)
+    ends = np.clip(end, 0.0, horizon)
+    keep = ends > starts
+    starts, ends, sev = starts[keep], ends[keep], severity[keep]
+    if starts.size == 0:
+        return np.zeros(1), np.zeros(1)
+
+    # Sweep the distinct start/end instants in order, keeping the active
+    # episodes in a heap keyed on -severity: O(k log k) in the episode
+    # count.  Episodes that ended by an instant are evicted lazily when
+    # they reach the top of the heap.
+    order = np.argsort(starts, kind="stable")
+    starts, ends, sev = starts[order], ends[order], sev[order]
+    bounds: list[float] = [0.0]
+    values: list[float] = [0.0]
+    active: list[tuple[float, float]] = []  # (-severity, end)
+    event_times = np.unique(np.concatenate([starts, ends]))
+    idx = 0
+    n = starts.size
+    for t in event_times:
+        # admit episodes starting at or before t
+        while idx < n and starts[idx] <= t:
+            heapq.heappush(active, (-float(sev[idx]), float(ends[idx])))
+            idx += 1
+        # evict episodes that have ended by t
+        while active and active[0][1] <= t:
+            heapq.heappop(active)
+        current = -active[0][0] if active else 0.0
+        if values[-1] != current:
+            if bounds[-1] == t:
+                values[-1] = current
+                if len(values) >= 2 and values[-2] == current:
+                    bounds.pop()
+                    values.pop()
+            else:
+                bounds.append(float(t))
+                values.append(current)
+    boundaries = np.array(bounds)
+    out = np.array(values)
+    if boundaries[0] != 0.0:
+        boundaries = np.insert(boundaries, 0, 0.0)
+        out = np.insert(out, 0, 0.0)
+    return boundaries, out
+
+
+def check_timelines(
+    offsets: np.ndarray, boundaries: np.ndarray, severity: np.ndarray, horizon: float
+) -> None:
+    """Validate timelines in CSR form, all at once.
+
+    Timeline ``i`` is ``boundaries[offsets[i]:offsets[i + 1]]`` with the
+    matching ``severity`` slice.  The checks are :class:`Timeline`'s:
+    every timeline starts with a boundary at 0, its boundaries strictly
+    increase, and the horizon does not precede its last boundary.
+    """
+    if offsets.ndim != 1 or offsets.size < 1 or offsets[0] != 0:
+        raise ValueError("offsets must be 1-D and start at 0")
+    if boundaries.ndim != 1 or boundaries.shape != severity.shape:
+        raise ValueError("boundaries and severity must be 1-D and equal length")
+    if offsets[-1] != boundaries.size:
+        raise ValueError("offsets must end at the number of boundaries")
+    if np.any(np.diff(offsets) < 1):
+        raise ValueError("a timeline must start with a boundary at t=0")
+    if np.any(boundaries[offsets[:-1]] != 0.0):
+        raise ValueError("a timeline must start with a boundary at t=0")
+    steps = np.diff(boundaries)
+    steps[offsets[1:-1] - 1] = 1.0  # where one timeline ends and the next begins
+    if np.any(steps <= 0):
+        raise ValueError("boundaries must be strictly increasing")
+    if np.any(horizon < boundaries):
+        raise ValueError("horizon must not precede the last boundary")
+
+
 # -- duration samplers -------------------------------------------------------
 
 
@@ -259,6 +305,54 @@ def pareto_sampler(minimum: float, alpha: float, cap: float = np.inf):
     return sample
 
 
+def hourly_rates(horizon: float, rate_per_hour: np.ndarray | float) -> np.ndarray:
+    """Expected episode count for each hour of the horizon (validated)."""
+    n_hours = int(np.ceil(horizon / 3600.0))
+    rates = np.broadcast_to(np.asarray(rate_per_hour, dtype=np.float64), (n_hours,))
+    if np.any(rates < 0):
+        raise ValueError("episode rates must be non-negative")
+    return rates
+
+
+def draw_counts(rng: np.random.Generator, rates: np.ndarray) -> np.ndarray | int:
+    """Draw each hour's episode count.
+
+    A one-hour horizon draws a scalar: ``rng.poisson(lam)`` yields the
+    same variate and leaves the same stream state as
+    ``rng.poisson(np.array([lam]))``, at a fraction of the cost.
+    """
+    if rates.shape[0] == 1:
+        return rng.poisson(rates[0])
+    return rng.poisson(rates)
+
+
+def draw_episodes(
+    rng: np.random.Generator,
+    counts: np.ndarray | int,
+    horizon: float,
+    duration_sampler,
+    severity_sampler,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Draw the episodes behind hourly ``counts`` (see :func:`draw_counts`).
+
+    Returns ``(start, duration, severity)`` arrays, or ``None`` when no
+    episode starts within the horizon.  The arrays are not validated.
+    """
+    total = counts if isinstance(counts, int) else int(counts.sum())
+    if total == 0:
+        return None
+    hour_index = np.repeat(np.arange(np.size(counts)), counts)
+    starts = (hour_index + rng.random(total)) * 3600.0
+    keep = starts < horizon
+    starts = starts[keep]
+    total = int(keep.sum())
+    if total == 0:
+        return None
+    durations = np.asarray(duration_sampler(rng, total), dtype=np.float64)
+    severities = np.clip(np.asarray(severity_sampler(rng, total), dtype=np.float64), 0.0, 1.0)
+    return starts, durations, severities
+
+
 def generate_poisson_episodes(
     rng: np.random.Generator,
     horizon: float,
@@ -276,21 +370,6 @@ def generate_poisson_episodes(
     """
     if horizon <= 0:
         return EpisodeSet.empty()
-    n_hours = int(np.ceil(horizon / 3600.0))
-    rates = np.broadcast_to(np.asarray(rate_per_hour, dtype=np.float64), (n_hours,))
-    if np.any(rates < 0):
-        raise ValueError("episode rates must be non-negative")
-    counts = rng.poisson(rates)
-    total = int(counts.sum())
-    if total == 0:
-        return EpisodeSet.empty()
-    hour_index = np.repeat(np.arange(n_hours), counts)
-    starts = (hour_index + rng.random(total)) * 3600.0
-    keep = starts < horizon
-    starts = starts[keep]
-    total = int(keep.sum())
-    if total == 0:
-        return EpisodeSet.empty()
-    durations = np.asarray(duration_sampler(rng, total), dtype=np.float64)
-    severities = np.clip(np.asarray(severity_sampler(rng, total), dtype=np.float64), 0.0, 1.0)
-    return EpisodeSet(starts, durations, severities)
+    counts = draw_counts(rng, hourly_rates(horizon, rate_per_hour))
+    drawn = draw_episodes(rng, counts, horizon, duration_sampler, severity_sampler)
+    return EpisodeSet.empty() if drawn is None else EpisodeSet(*drawn)

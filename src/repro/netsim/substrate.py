@@ -1,27 +1,31 @@
-"""Lazy and shared-memory substrates: same queries, different residency.
+"""Lazy and shared-memory substrates: one layout, different residency.
 
 Lives in ``repro.netsim`` (it depends on nothing above the netsim
 layer) and is re-exported as :mod:`repro.engine.substrate`, the
 scale-out engine's public face for it.
 
 A 100-host mesh has ~10k segments, each with three stochastic
-timelines.  Eager :func:`repro.netsim.state.build_state` draws them all
-before the first packet flies; :class:`LazyTimelineBank` defers each
-segment's generation to its first query and keeps at most
-``max_cached`` of them alive per cause (LRU).  Because every timeline
-comes from its own named RNG substream
-(:class:`~repro.netsim.state.SegmentTimelineRecipe`), generation order
-— and eviction followed by regeneration — cannot change a single drawn
-value, so lazy and eager substrates answer every query bitwise
-identically.
+timelines, and most of them are quiet.  Every bank holds the layout of
+:class:`~repro.netsim.state.TimelineBank`: a per-segment flag plus the
+busy segments' shifted boundaries and severities, searched in one
+``np.searchsorted``.  The banks differ only in when segments are
+generated and where the arrays live:
 
-:class:`SharedTimelineBank` keeps the eager layout but parks the flat
-timeline arrays in one :mod:`multiprocessing.shared_memory` block, so a
-process pool's workers all read the same physical pages — zero-copy
-across ``fork`` (no copy-on-write unsharing of substrate data) and
-attachable by name from ``spawn`` children via pickling.  The floats
-are byte-for-byte copies of the private bank's, so queries answer
-bitwise identically there too.
+* the eager bank (:func:`repro.netsim.state.build_state`) generates
+  every segment up front, in one batch per cause;
+* :class:`LazyTimelineBank` keeps one state per segment (not generated,
+  quiet or busy).  A query generates its not-yet-generated segments in
+  one batch, then answers through the same busy-only search.  With
+  ``max_cached`` set, at most that many generated segments per cause
+  stay resident and the least recently used is evicted first;
+* :class:`SharedTimelineBank` is the eager bank with its arrays in one
+  :mod:`multiprocessing.shared_memory` block.
+
+Because every timeline comes from its own named RNG substream
+(:class:`~repro.netsim.state.SegmentTimelineRecipe`), generation order
+and batching — and eviction followed by regeneration — cannot change a
+single drawn value, and the shared arrays are byte-for-byte copies, so
+all three answer every query bitwise identically.
 """
 
 from __future__ import annotations
@@ -29,26 +33,84 @@ from __future__ import annotations
 import os
 import threading
 import weakref
-from collections import OrderedDict
 from multiprocessing import shared_memory
+from typing import NamedTuple
 
 import numpy as np
 
-from .episodes import Timeline
-from .state import SegmentTimelineRecipe, TimelineBank
+from repro import telemetry
+from repro.telemetry import clock
+
+from .state import (
+    SENTINEL,
+    SegmentTimelineRecipe,
+    TimelineBank,
+    busy_flags,
+    busy_lookup,
+    shifted_busy,
+)
 
 __all__ = ["LazyTimelineBank", "SharedTimelineBank"]
+
+#: per-segment states of a lazy bank
+ABSENT, QUIET, BUSY = 0, 1, 2
+
+
+class _Resident(NamedTuple):
+    """An immutable snapshot of a lazy bank's generated segments.
+
+    Queries read one snapshot throughout, so a concurrent insert or
+    eviction (which publishes a new snapshot) never mixes states.
+    """
+
+    state: np.ndarray  # (n_segments,) int8: ABSENT, QUIET or BUSY
+    bounds: np.ndarray  # the sentinel, then busy segments' shifted boundaries
+    sev: np.ndarray
+    owner: np.ndarray  # segment id of each entry (-1: the sentinel)
+
+    @staticmethod
+    def empty(n_segments: int) -> "_Resident":
+        return _Resident(
+            np.zeros(n_segments, dtype=np.int8),
+            np.array([SENTINEL]),
+            np.zeros(1),
+            np.array([-1], dtype=np.int64),
+        )
+
+    def add(self, sids, offsets, boundaries, severity, shift: float) -> "_Resident":
+        """This snapshot plus freshly generated segments ``sids``."""
+        busy = busy_flags(offsets, severity)
+        state = self.state.copy()
+        state[sids] = np.where(busy, BUSY, QUIET)
+        bounds, sev, owner = shifted_busy(sids, offsets, boundaries, severity, busy, shift)
+        # new segments never interleave with resident ones: a merge by
+        # insertion keeps the shifted boundaries sorted
+        at = np.searchsorted(self.bounds, bounds)
+        return _Resident(
+            state,
+            np.insert(self.bounds, at, bounds),
+            np.insert(self.sev, at, sev),
+            np.insert(self.owner, at, owner),
+        )
+
+    def drop(self, sids: np.ndarray) -> "_Resident":
+        """This snapshot without segments ``sids``."""
+        state = self.state.copy()
+        state[sids] = ABSENT
+        keep = ~np.isin(self.owner, sids)
+        return _Resident(state, self.bounds[keep], self.sev[keep], self.owner[keep])
 
 
 class LazyTimelineBank:
     """Drop-in for :class:`~repro.netsim.state.TimelineBank` that
-    materialises per-segment timelines on first use.
+    generates segments on first use.
 
     Queries use the same shifted-boundary arithmetic as the eager bank
-    (``t + sid * shift`` against ``boundaries + sid * shift``), with the
-    concatenation restricted to the segments a query actually touches —
-    the floats are computed from identical expressions, so results match
-    the eager bank bit for bit.
+    (``t + sid * shift`` against busy boundaries ``+ sid * shift``) over
+    the resident segments, so results match the eager bank bit for bit.
+    Generation runs under the bank's lock, so concurrent shard threads
+    generate each segment once; a query that finds its segments
+    resident takes no lock unless the bank has a ``max_cached`` budget.
     """
 
     def __init__(
@@ -66,68 +128,68 @@ class LazyTimelineBank:
         self.corr_length = recipe.corr_lengths(kind)
         self.n_segments = len(recipe.topology.registry)
         self.max_cached = max_cached
-        self._cache: OrderedDict[int, Timeline] = OrderedDict()
+        self._resident = _Resident.empty(self.n_segments)
         self._lock = threading.Lock()
         self._generated = 0
+        #: LRU clock: the query count at each segment's last use
+        self._tick = 0
+        self._last_used = None if max_cached is None else np.zeros(self.n_segments, np.int64)
         self._mean_severity: np.ndarray | None = None
-        #: once an unbounded cache holds every segment, queries delegate
-        #: to this prebuilt eager bank instead of re-concatenating
-        self._flat: TimelineBank | None = None
 
     # ------------------------------------------------------------------
-    # cache
+    # residency
     # ------------------------------------------------------------------
 
     @property
     def cached_segments(self) -> int:
-        return len(self._cache)
+        return int(np.count_nonzero(self._resident.state))
 
     @property
     def generated_segments(self) -> int:
         """Lifetime generation count (> n_segments means LRU churn)."""
         return self._generated
 
-    def _timelines_for(self, sids: np.ndarray) -> list[Timeline]:
-        from repro import telemetry  # leaf import; netsim has no engine deps
+    def _distinct(self, sids: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """The ascending distinct ids of ``sids`` where ``mask`` holds."""
+        seen = np.zeros(self.n_segments + 1, dtype=bool)
+        seen[np.where(mask, sids, -1)] = True  # -1 marks the spare last slot
+        return np.flatnonzero(seen[:-1])
 
+    def _load(self, sids: np.ndarray) -> _Resident:
+        """Make segments ``sids`` resident and return a snapshot that
+        holds all of them (evictions publish a newer one).
+
+        The state of each segment is re-checked under the lock, so a
+        segment another thread generated meanwhile is neither generated
+        nor counted twice.
+        """
         rec = telemetry.get_recorder()
-        reg = self.recipe.topology.registry
-        found: dict[int, Timeline] = {}
+        generate_ns = evicted = 0
         with self._lock:
-            for s in sids:
-                sid = int(s)
-                tl = self._cache.get(sid)
-                if tl is not None:
-                    self._cache.move_to_end(sid)
-                    found[sid] = tl
-        # generate misses *outside* the lock: each timeline comes from its
-        # own named substream, so concurrent shard threads generating the
-        # same segment produce identical objects — no serialisation needed
-        fresh = {
-            sid: self.recipe.timeline(self.kind, reg[sid])
-            for sid in {int(s) for s in sids} - found.keys()
-        }
-        evicted = 0
-        if fresh:
-            with self._lock:
-                for sid, tl in fresh.items():
-                    cached = self._cache.get(sid)
-                    if cached is None:
-                        self._cache[sid] = tl
-                        self._generated += 1
-                    else:  # another thread won the race; both are identical
-                        self._cache.move_to_end(sid)
-                        fresh[sid] = cached
-                if self.max_cached is not None:
-                    while len(self._cache) > self.max_cached:
-                        self._cache.popitem(last=False)
-                        evicted += 1
-            found.update(fresh)
+            view = self._resident
+            missing = sids[view.state[sids] == ABSENT]
+            if missing.size:
+                t0 = clock.monotonic_ns()
+                csr = self.recipe.generate(self.kind, missing)
+                generate_ns = clock.monotonic_ns() - t0
+                view = view.add(missing, *csr, self.shift)
+                self._generated += missing.size
+            resident = view
+            if self.max_cached is not None:
+                self._tick += 1
+                self._last_used[sids] = self._tick
+                held = np.flatnonzero(view.state)
+                evicted = max(held.size - self.max_cached, 0)
+                if evicted:
+                    order = np.argsort(self._last_used[held], kind="stable")
+                    resident = view.drop(held[order[:evicted]])
+            self._resident = resident
         if rec.enabled:
-            rec.counter_add("substrate.lru_hits", len(found) - len(fresh))
-            rec.counter_add("substrate.lru_misses", len(fresh))
+            rec.counter_add("substrate.lru_hits", sids.size - missing.size)
+            rec.counter_add("substrate.lru_misses", missing.size)
             rec.counter_add("substrate.lru_evictions", evicted)
-        return [found[int(s)] for s in sids]
+            rec.counter_add("substrate.generate_ns", generate_ns)
+        return view
 
     # ------------------------------------------------------------------
     # queries (TimelineBank-compatible)
@@ -139,70 +201,37 @@ class LazyTimelineBank:
         ``sids`` may contain NO_SEGMENT (-1) padding; those entries and
         out-of-horizon times return 0.
         """
-        if self._flat is not None:
-            return self._flat.severity_at(sids, times)
-        sids, t = np.broadcast_arrays(
-            np.asarray(sids), np.asarray(times, dtype=np.float64)
-        )
+        sids = np.asarray(sids)
+        t = np.asarray(times, dtype=np.float64)
         ok = (sids >= 0) & (t >= 0.0) & (t < self.horizon)
-        out = np.zeros(sids.shape, dtype=np.float64)
-        if not ok.any():
-            return out
-        uniq = np.unique(sids[ok]).astype(np.int64)
-        tls = self._timelines_for(uniq)
-        bounds = np.concatenate(
-            [tl.boundaries + sid * self.shift for sid, tl in zip(uniq, tls)]
-        )
-        sevs = np.concatenate([tl.severity for tl in tls])
-        q = t[ok] + sids[ok] * self.shift
-        idx = np.searchsorted(bounds, q, side="right") - 1
-        out[ok] = sevs[idx]
-        self._maybe_flatten()
-        return out
-
-    #: unbounded caches graduate to the eager layout at this coverage
-    #: (some segments — e.g. same-region trunks of single-host regions —
-    #: sit on no path at all, so exact-full never happens).
-    FLATTEN_MIN_FRACTION = 0.95
-
-    def _maybe_flatten(self) -> None:
-        """Nearly-warm unbounded caches graduate to the eager layout, so
-        a long collection stops paying per-query concatenation; the few
-        never-touched stragglers are generated once here (the flat bank
-        answers bitwise identically either way)."""
-        if self.max_cached is not None or self._flat is not None:
-            return
-        if len(self._cache) < self.FLATTEN_MIN_FRACTION * self.n_segments:
-            return
-        tls = self._timelines_for(np.arange(self.n_segments))
-        with self._lock:
-            if self._flat is None:
-                self._flat = TimelineBank(tls, self.horizon)
-                # the flat bank owns the data now; keeping the per-segment
-                # cache too would double the substrate's memory
-                self._cache.clear()
+        safe_sid = np.where(ok, sids, 0)
+        view = self._resident
+        state = view.state[safe_sid]
+        if self.max_cached is not None:
+            # every query refreshes its segments' recency
+            view = self._load(self._distinct(safe_sid, ok))
+            state = view.state[safe_sid]
+        else:
+            missing = ok & (state == ABSENT)
+            if missing.any():
+                view = self._load(self._distinct(safe_sid, missing))
+                state = view.state[safe_sid]
+        ok &= state == BUSY
+        return busy_lookup(view.bounds, view.sev, ok, safe_sid, t, self.shift)
 
     @property
     def mean_severity(self) -> np.ndarray:
         """Per-segment time-average severity (generates every segment —
         a diagnostics accessor, not a hot path)."""
         if self._mean_severity is None:
-            if self._flat is not None:
-                self._mean_severity = self._flat.mean_severity
-            else:
-                tls = self._timelines_for(np.arange(self.n_segments))
-                self._mean_severity = np.array(
-                    [tl.mean_severity() for tl in tls], dtype=np.float64
-                )
+            self._mean_severity = self.materialize().mean_severity
         return self._mean_severity
 
     def materialize(self) -> TimelineBank:
-        """The equivalent eager bank (generates every segment)."""
-        if self._flat is not None:
-            return self._flat
-        return TimelineBank(
-            self._timelines_for(np.arange(self.n_segments)), self.horizon
-        )
+        """The equivalent eager bank (generates every segment; leaves
+        this bank's residency alone)."""
+        csr = self.recipe.generate(self.kind, np.arange(self.n_segments))
+        return TimelineBank.from_csr(*csr, self.horizon, self.corr_length)
 
 
 def _release_shm(shm: shared_memory.SharedMemory, owner_pid: int) -> None:
@@ -237,15 +266,15 @@ def _attach_shared_bank(name, layout, horizon, shift):
 
 
 class SharedTimelineBank(TimelineBank):
-    """A :class:`~repro.netsim.state.TimelineBank` whose flat arrays
-    live in POSIX shared memory.
+    """A :class:`~repro.netsim.state.TimelineBank` whose arrays live in
+    POSIX shared memory.
 
-    Construction draws the timelines exactly like the eager bank, then
-    moves the four flat arrays (boundaries, severities, correlation
-    lengths, mean severities) into one ``SharedMemory`` block and
-    rebinds the attributes as views over it — every query method is
-    inherited unchanged, and the bytes are copies, so results are
-    bitwise identical to a private bank.
+    Construction builds the eager layout exactly like the private bank,
+    then moves its arrays (busy boundaries, severities, correlation
+    lengths, mean severities and busy flags) into one ``SharedMemory``
+    block and rebinds the attributes as views over it — every query
+    method is inherited unchanged, and the bytes are copies, so results
+    are bitwise identical to a private bank.
 
     Pickling transmits only the segment *name* plus the array layout;
     unpickling attaches to the existing block, which is what lets a
@@ -255,11 +284,12 @@ class SharedTimelineBank(TimelineBank):
     is garbage collected.
     """
 
-    #: the flat arrays relocated into shared memory.
-    SHARED_FIELDS = ("_bounds", "_sev", "corr_length", "mean_severity")
+    #: the arrays relocated into shared memory (8-byte ones first, so
+    #: every view stays aligned)
+    SHARED_FIELDS = ("_bounds", "_sev", "corr_length", "mean_severity", "_busy")
 
-    def __init__(self, timelines: list[Timeline], horizon: float) -> None:
-        super().__init__(timelines, horizon)
+    def _init_csr(self, *args) -> None:
+        super()._init_csr(*args)
         arrays = [np.ascontiguousarray(getattr(self, f)) for f in self.SHARED_FIELDS]
         shm = shared_memory.SharedMemory(
             create=True, size=max(sum(a.nbytes for a in arrays), 1)

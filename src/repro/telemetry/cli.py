@@ -33,6 +33,7 @@ def _print_summary(header: dict, events: list[dict]) -> None:
             f"executor={run.get('executor')} shards={run.get('n_shards')}"
         )
     summary = summarize(events)
+    generate_ns = summary["counters"].get("substrate.generate_ns")
     if summary["spans"]:
         print(f"\n{'span':34s} {'count':>6s} {'total s':>10s} {'mean s':>10s} {'max s':>10s}")
         for key in sorted(summary["spans"]):
@@ -41,6 +42,10 @@ def _print_summary(header: dict, events: list[dict]) -> None:
                 f"{key:34s} {agg['count']:6d} {agg['total_s']:10.4f} "
                 f"{agg['mean_s']:10.4f} {agg['max_s']:10.4f}"
             )
+    if generate_ns is not None:
+        # lazy substrates generate timelines inside whichever stage first
+        # queries them; this is that time, already within those stages
+        print(f"{'substrate.generate_ns (in stages)':34s} {'':6s} {generate_ns / 1e9:10.4f}")
     if summary["counters"]:
         print(f"\n{'counter':34s} {'value':>14s}")
         for name in sorted(summary["counters"]):

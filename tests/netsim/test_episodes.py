@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 from repro.netsim.episodes import (
     EpisodeSet,
     Timeline,
+    check_timelines,
+    draw_counts,
     generate_poisson_episodes,
+    hourly_rates,
     lognormal_sampler,
     pareto_sampler,
 )
+from repro.netsim.rng import RngFactory
 
 HORIZON = 1000.0
 
@@ -180,3 +184,44 @@ class TestGeneratePoisson:
             rng, 3600.0 * 10, 5.0, lambda r, n: np.ones(n), lambda r, n: np.full(n, 7.0)
         )
         assert np.all(out.severity <= 1.0)
+
+    def test_one_hour_count_is_drawn_as_scalar(self):
+        # the scalar draw gives the array draw's variate and leaves the
+        # stream in the same state (small rates and PTRS-sized ones)
+        for i, lam in enumerate([0.0, 1e-4, 0.05, 0.9, 3.0, 12.0, 250.0] * 40):
+            a = RngFactory(i).stream("counts", str(lam))
+            b = RngFactory(i).stream("counts", str(lam))
+            scalar = draw_counts(a, np.array([lam]))
+            assert isinstance(scalar, int)
+            assert scalar == int(b.poisson(np.array([lam]))[0])
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_hourly_rates_broadcast_and_validate(self):
+        np.testing.assert_array_equal(hourly_rates(7200.0, 0.5), [0.5, 0.5])
+        assert hourly_rates(300.0, np.array([2.0])).shape == (1,)
+        with pytest.raises(ValueError, match="non-negative"):
+            hourly_rates(7200.0, np.array([1.0, -1.0]))
+
+
+class TestCheckTimelines:
+    def ok(self):
+        # two timelines: quiet, then [0, 5) at 0 and [5, 8) at 0.4
+        return np.array([0, 1, 3]), np.array([0.0, 0.0, 5.0]), np.array([0.0, 0.0, 0.4])
+
+    def test_accepts_valid_csr(self):
+        check_timelines(*self.ok(), 8.0)
+
+    def test_matches_timeline_checks(self):
+        offsets, bounds, sev = self.ok()
+        with pytest.raises(ValueError, match="t=0"):
+            check_timelines(offsets, np.array([0.0, 1.0, 5.0]), sev, 8.0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            check_timelines(offsets, np.array([0.0, 0.0, 0.0]), sev, 8.0)
+        with pytest.raises(ValueError, match="horizon"):
+            check_timelines(offsets, bounds, sev, 4.0)
+        with pytest.raises(ValueError, match="t=0"):
+            check_timelines(np.array([0, 0, 3]), bounds, sev, 8.0)  # empty timeline
+        with pytest.raises(ValueError, match="equal length"):
+            check_timelines(offsets, bounds, sev[:2], 8.0)
+        with pytest.raises(ValueError, match="offsets"):
+            check_timelines(np.array([0, 1, 2]), bounds, sev, 8.0)

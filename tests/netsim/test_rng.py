@@ -1,5 +1,7 @@
 """Deterministic named random streams."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -59,3 +61,25 @@ class TestRngFactory:
         b = rngs.stream("a", "bc").random(4)
         # "ab/c" vs "a/bc" differ as joined strings
         assert not np.array_equal(a, b)
+
+
+def _list_entropy_stream(seed: int, *names: str) -> np.random.Generator:
+    """The stream construction from a Python list of entropy words: the
+    reference the uint32-array construction must match word for word."""
+    digest = hashlib.sha256("/".join(str(n) for n in names).encode("utf-8")).digest()
+    entropy = [seed & 0xFFFFFFFF, (seed >> 32) & 0xFFFFFFFF]
+    entropy.extend(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
+    return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1])
+def test_stream_state_matches_list_entropy(seed):
+    rngs = RngFactory(seed)
+    names = [("congestion", f"mid:h{i}:h{i + 1}") for i in range(150)]
+    names += [("outage", f"acc-out:host{i}") for i in range(100)]
+    names += [("srg", "line:MIT"), ("host-down", "Cornell"), ("x",), ("a", "b", "c")]
+    for path in names:
+        assert (
+            rngs.stream(*path).bit_generator.state
+            == _list_entropy_stream(seed, *path).bit_generator.state
+        ), path

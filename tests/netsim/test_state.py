@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.netsim import RngFactory, build_state, build_topology, config_2003
-from repro.netsim.config import MajorEvent
-from repro.netsim.episodes import Timeline
+from repro.netsim.config import HostFailureParams, MajorEvent
+from repro.netsim.episodes import Timeline, generate_poisson_episodes, lognormal_sampler
 from repro.netsim.segments import SegmentKind
 from repro.netsim.state import TimelineBank
 
@@ -76,12 +76,39 @@ class TestBuildState:
         assert state.outage.corr_length[sid] > 100 * state.congestion.corr_length[sid]
 
     def test_host_down_timelines_per_host(self, state):
+        assert isinstance(state.host_down, TimelineBank)
         assert len(state.host_down) == state.topology.n_hosts
 
     def test_host_down_at_vector(self, state):
         hosts = np.zeros(3, dtype=np.int64)
         out = state.host_down_at(hosts, np.array([0.0, 100.0, 200.0]))
         assert out.dtype == bool and out.shape == (3,)
+
+    def test_host_down_at_matches_per_host_timelines(self):
+        # a failure-heavy config, so some hosts are down some of the time
+        cfg = config_2003().with_overrides(
+            host_failure=HostFailureParams(rate_per_day=40.0, duration_median_s=900.0)
+        )
+        rngs = RngFactory(5)
+        topo = build_topology(tiny_hosts(), cfg, rngs)
+        st = build_state(topo, HORIZON, rngs)
+        rng = np.random.default_rng(3)
+        hosts = rng.integers(0, topo.n_hosts, 5000)
+        times = rng.uniform(-100.0, HORIZON + 100.0, 5000)
+        want = np.zeros(5000, dtype=bool)
+        hf = cfg.host_failure
+        for h in topo.hosts:
+            eps = generate_poisson_episodes(
+                RngFactory(5).stream("host-down", h.name),
+                HORIZON,
+                hf.rate_per_day / 24.0,
+                lognormal_sampler(hf.duration_median_s, hf.duration_sigma),
+                lambda r, size: np.ones(size),
+            )
+            mask = hosts == topo.host_index[h.name]
+            want[mask] = Timeline.from_episodes(eps, HORIZON).severity_at(times[mask]) > 0
+        assert want.any() and not want.all()
+        np.testing.assert_array_equal(st.host_down_at(hosts, times), want)
 
     def test_deterministic(self):
         rngs = RngFactory(77)

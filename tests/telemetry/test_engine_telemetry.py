@@ -194,3 +194,21 @@ class TestLazySubstrateCounters:
         assert counters["substrate.lru_misses"] > 0
         assert counters["substrate.lru_evictions"] > 0
         assert counters.get("substrate.lru_hits", 0) >= 0
+
+    def test_substrate_generation_billed(self):
+        with telemetry.recording() as rec:
+            col = ShardedCollector(
+                always_shard(n_shards=2, executor="serial", substrate="lazy")
+            ).collect(dataset("ronnarrow"), 60.0, seed=2)
+            counters = rec.counter_snapshot()
+            spans = [ev for ev in rec.events() if ev["ev"] == "span"]
+        state = col.network.state
+        generated = sum(
+            getattr(state, k).generated_segments for k in ("congestion", "outage", "delay")
+        )
+        assert counters["substrate.timelines"] == generated > 0
+        assert 0 < counters["substrate.quiet"] <= counters["substrate.timelines"]
+        assert counters["substrate.generate_ns"] > 0
+        substrate = [ev for ev in spans if ev["name"] == "substrate"]
+        assert len(substrate) == 1 and substrate[0]["cat"] == "stage"
+        assert substrate[0]["args"]["substrate"] == "lazy"

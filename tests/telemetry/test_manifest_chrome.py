@@ -138,6 +138,14 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["shards"] == 2
 
+    def test_summary_shows_lazy_generation_time(self, tmp_path, capsys):
+        events = EVENTS + [{"ev": "counter", "name": "substrate.generate_ns", "value": 2.5e9}]
+        telemetry.write_manifest(tmp_path, events)
+        assert cli_main(["summary", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        line = next(ln for ln in out.splitlines() if "substrate.generate_ns" in ln)
+        assert line.split()[-1] == "2.5000"
+
     def test_export_subcommand(self, tmp_path, capsys):
         telemetry.write_manifest(tmp_path, EVENTS)
         out = tmp_path / "trace.json"
