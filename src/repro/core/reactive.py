@@ -24,9 +24,10 @@ blocks ran alongside it — which is what lets
 :class:`repro.engine.ShardedCollector` farm blocks out across cores,
 and any block layout merge (:func:`merge_probe_blocks`) into the
 bitwise-identical :class:`ProbeSeries`.  :func:`build_routing_tables`
-then selects paths for *all* slots at once via
-:func:`~repro.core.selector.select_paths_batch`, in slot blocks that
-bound the (G, n, n, n) candidate working set.
+(every source row) and :func:`build_table_block` (one shard's rows)
+then select paths for all slots through
+:func:`~repro.core.selector.select_paths_block`, in slot blocks that
+bound its option-last (g, w, n, k) candidate tensors.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from repro.netsim.network import Network
 from repro.netsim.rng import RngFactory
 from repro.trace.records import id_dtype
 
-from .selector import select_paths_batch, select_paths_block
+from .selector import SelectionTables, select_paths_block
 
 __all__ = [
     "ProbeSeries",
@@ -93,8 +94,38 @@ class ProbeSeries:
         return _digest((self.lost, self.latency))
 
 
+class _SlotLookup:
+    """The lookup rule of :class:`RoutingTables` and
+    :class:`RoutingTableBlock`: one slot mapping, one criterion map."""
+
+    @property
+    def n_slots(self) -> int:
+        return self.loss_best.shape[0]
+
+    def slot_of(self, times: np.ndarray) -> np.ndarray:
+        """Grid slot in force at each time, clamped to the horizon.
+
+        Times past the last slot (and before the first) clamp rather
+        than index out of bounds: stale tables stay in force, exactly
+        like a real node that has stopped hearing fresh probes.
+        """
+        g = (np.asarray(times, dtype=np.float64) // self.interval).astype(np.int64)
+        return np.clip(g, 0, self.n_slots - 1)
+
+    def _table(self, criterion: str, alternate: bool) -> np.ndarray:
+        table = {
+            ("loss", False): self.loss_best,
+            ("loss", True): self.loss_second,
+            ("lat", False): self.lat_best,
+            ("lat", True): self.lat_second,
+        }.get((criterion, alternate))
+        if table is None:
+            raise ValueError(f"unknown criterion {criterion!r} (use 'loss' or 'lat')")
+        return table
+
+
 @dataclass
-class RoutingTables:
+class RoutingTables(_SlotLookup):
     """Best/runner-up choices per grid slot, pair and criterion.
 
     Entries are relay indices or :data:`~repro.core.selector.DIRECT`.
@@ -111,20 +142,6 @@ class RoutingTables:
     loss_est: np.ndarray  # (G, n, n) float32 leg estimates (diagnostics)
     failed: np.ndarray  # (G, n, n) bool
 
-    @property
-    def n_slots(self) -> int:
-        return self.loss_best.shape[0]
-
-    def slot_of(self, times: np.ndarray) -> np.ndarray:
-        """Grid slot in force at each time, clamped to the horizon.
-
-        Times past the last slot (and before the first) clamp rather
-        than index out of bounds: stale tables stay in force, exactly
-        like a real node that has stopped hearing fresh probes.
-        """
-        g = (np.asarray(times, dtype=np.float64) // self.interval).astype(np.int64)
-        return np.clip(g, 0, self.n_slots - 1)
-
     def lookup(
         self,
         criterion: str,
@@ -134,16 +151,7 @@ class RoutingTables:
         alternate: bool = False,
     ) -> np.ndarray:
         """Relay chosen for (src, dst) at each time; DIRECT for direct."""
-        g = self.slot_of(times)
-        table = {
-            ("loss", False): self.loss_best,
-            ("loss", True): self.loss_second,
-            ("lat", False): self.lat_best,
-            ("lat", True): self.lat_second,
-        }.get((criterion, alternate))
-        if table is None:
-            raise ValueError(f"unknown criterion {criterion!r} (use 'loss' or 'lat')")
-        return table[g, src, dst]
+        return self._table(criterion, alternate)[self.slot_of(times), src, dst]
 
     def fingerprint(self) -> str:
         """SHA-256 over every table array: bitwise identity witness."""
@@ -160,7 +168,7 @@ class RoutingTables:
 
 
 @dataclass
-class RoutingTableBlock:
+class RoutingTableBlock(_SlotLookup):
     """Rows ``[host_lo, host_hi)`` of a run's :class:`RoutingTables`.
 
     Built per collection shard by the engine
@@ -183,10 +191,6 @@ class RoutingTableBlock:
     lat_best: np.ndarray
     lat_second: np.ndarray
 
-    @property
-    def n_slots(self) -> int:
-        return self.loss_best.shape[0]
-
     def lookup(
         self,
         criterion: str,
@@ -197,26 +201,17 @@ class RoutingTableBlock:
     ) -> np.ndarray:
         """Relay chosen for (src, dst) at each time; DIRECT for direct.
 
-        Same clamp-to-horizon slot mapping as
-        :meth:`RoutingTables.slot_of`, same table semantics — only the
-        source axis is offset into the block.
+        The slot mapping and table semantics of
+        :meth:`RoutingTables.lookup`; only the source axis is offset
+        into the block.
         """
-        g = (np.asarray(times, dtype=np.float64) // self.interval).astype(np.int64)
-        g = np.clip(g, 0, self.n_slots - 1)
-        table = {
-            ("loss", False): self.loss_best,
-            ("loss", True): self.loss_second,
-            ("lat", False): self.lat_best,
-            ("lat", True): self.lat_second,
-        }.get((criterion, alternate))
-        if table is None:
-            raise ValueError(f"unknown criterion {criterion!r} (use 'loss' or 'lat')")
+        table = self._table(criterion, alternate)
         rows = np.asarray(src, dtype=np.int64) - self.host_lo
         if rows.size and (rows.min() < 0 or rows.max() >= self.host_hi - self.host_lo):
             raise IndexError(
                 f"source outside table block [{self.host_lo}, {self.host_hi})"
             )
-        return table[g, rows, dst]
+        return table[self.slot_of(times), rows, dst]
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,8 +388,9 @@ def _rolling_mean_excl(
     return sums / counts.reshape((-1,) + (1,) * (x.ndim - 1))
 
 
-#: slot-block budget for batched selection: bounds the (B, n, n, n)
-#: float64 candidate tensors of select_paths_batch to ~16 MB apiece
+#: slot-block budget for batched selection: bounds the (B, w, n, k)
+#: float64 candidate tensors of select_paths_block (w source rows, k <= n
+#: options per pair) to ~16 MB apiece
 #: (larger blocks lose more to cache pressure than they save in trips
 #: through Python; measured at n=100 in benchmarks/test_probing_scaling).
 _SELECT_BUDGET = 2_000_000
@@ -451,6 +447,46 @@ def probe_estimates(
     return loss_est, lat_est, failed
 
 
+def _select_rows(
+    loss_est: np.ndarray,
+    lat_est: np.ndarray,
+    failed: np.ndarray,
+    margin: float,
+    host_lo: int,
+    host_hi: int,
+    relay_set,
+) -> SelectionTables:
+    """Table rows ``[host_lo, host_hi)`` of every slot, in slot blocks.
+
+    The slot loop of both :func:`build_routing_tables` and
+    :func:`build_table_block`.  Blocks are sized by :func:`_slot_block`
+    from the full mesh's ``n``, so the memory bound holds however the
+    sources are cut.  Each public builder is one selection pass of its
+    own (the benchmark's selector layer counts them per call), so
+    neither calls the other.
+    """
+    g_total, n = loss_est.shape[0], loss_est.shape[1]
+    shape = (g_total, host_hi - host_lo, n)
+    out = SelectionTables(*(np.empty(shape, dtype=id_dtype(n)) for _ in range(4)))
+    block = _slot_block(n, None if relay_set is None else relay_set.max_k + 1)
+    for g0 in range(0, g_total, block):
+        g1 = min(g0 + block, g_total)
+        part = select_paths_block(
+            loss_est[g0:g1],
+            lat_est[g0:g1],
+            failed[g0:g1],
+            host_lo,
+            host_hi,
+            margin,
+            relay_set=relay_set,
+        )
+        out.loss_best[g0:g1] = part.loss_best
+        out.loss_second[g0:g1] = part.loss_second
+        out.lat_best[g0:g1] = part.lat_best
+        out.lat_second[g0:g1] = part.lat_second
+    return out
+
+
 def build_routing_tables(
     series: ProbeSeries,
     params: ProbingParams,
@@ -459,39 +495,21 @@ def build_routing_tables(
     """Turn probe outcomes into per-slot best-path choices.
 
     Estimates come from :func:`probe_estimates`; selection runs through
-    :func:`~repro.core.selector.select_paths_batch` in slot blocks
-    sized by :func:`_slot_block`, elementwise identical to the per-slot
-    loop it replaced.  When ``relay_set`` is given, selection only
-    considers each pair's relay candidates.
+    :func:`~repro.core.selector.select_paths_block` over every source
+    row, in slot blocks sized by :func:`_slot_block`, elementwise
+    identical to selecting slot by slot.  When ``relay_set`` is given,
+    selection only considers each pair's relay candidates.
     """
-    g_total, n = series.n_slots, series.n_hosts
     loss_est, lat_est, failed = probe_estimates(series, params)
-
-    loss_best = np.empty((g_total, n, n), dtype=id_dtype(n))
-    loss_second = np.empty_like(loss_best)
-    lat_best = np.empty_like(loss_best)
-    lat_second = np.empty_like(loss_best)
-    block = _slot_block(n, None if relay_set is None else relay_set.max_k + 1)
-    for g0 in range(0, g_total, block):
-        g1 = min(g0 + block, g_total)
-        tables = select_paths_batch(
-            loss_est[g0:g1],
-            lat_est[g0:g1],
-            failed[g0:g1],
-            params.selection_margin,
-            relay_set=relay_set,
-        )
-        loss_best[g0:g1] = tables.loss_best
-        loss_second[g0:g1] = tables.loss_second
-        lat_best[g0:g1] = tables.lat_best
-        lat_second[g0:g1] = tables.lat_second
-
+    t = _select_rows(
+        loss_est, lat_est, failed, params.selection_margin, 0, series.n_hosts, relay_set
+    )
     return RoutingTables(
         interval=series.interval,
-        loss_best=loss_best,
-        loss_second=loss_second,
-        lat_best=lat_best,
-        lat_second=lat_second,
+        loss_best=t.loss_best,
+        loss_second=t.loss_second,
+        lat_best=t.lat_best,
+        lat_second=t.lat_second,
         loss_est=loss_est.astype(np.float32),
         failed=failed,
     )
@@ -510,44 +528,23 @@ def build_table_block(
     """Select routing-table rows ``[host_lo, host_hi)`` from full estimates.
 
     The per-source-range half of :func:`build_routing_tables`: the same
-    slot-block batching (sized by the full mesh's ``n``, so the memory
-    bound holds however the sources are cut) over
-    :func:`~repro.core.selector.select_paths_block` — row for row
-    bitwise identical to the full build.  The estimates must be the
-    full (G, n, n) arrays from :func:`probe_estimates`; relay legs
+    slot loop over :func:`~repro.core.selector.select_paths_block`, row
+    for row bitwise identical to the full build.  The estimates must be
+    the full (G, n, n) arrays from :func:`probe_estimates`; relay legs
     reach every host whatever the source range.  ``relay_set`` limits
     selection to each pair's relay candidates.
     """
-    g_total, n = loss_est.shape[0], loss_est.shape[1]
-    width = host_hi - host_lo
-    loss_best = np.empty((g_total, width, n), dtype=id_dtype(n))
-    loss_second = np.empty_like(loss_best)
-    lat_best = np.empty_like(loss_best)
-    lat_second = np.empty_like(loss_best)
-    block = _slot_block(n, None if relay_set is None else relay_set.max_k + 1)
-    for g0 in range(0, g_total, block):
-        g1 = min(g0 + block, g_total)
-        tables = select_paths_block(
-            loss_est[g0:g1],
-            lat_est[g0:g1],
-            failed[g0:g1],
-            host_lo,
-            host_hi,
-            params.selection_margin,
-            relay_set=relay_set,
-        )
-        loss_best[g0:g1] = tables.loss_best
-        loss_second[g0:g1] = tables.loss_second
-        lat_best[g0:g1] = tables.lat_best
-        lat_second[g0:g1] = tables.lat_second
+    t = _select_rows(
+        loss_est, lat_est, failed, params.selection_margin, host_lo, host_hi, relay_set
+    )
     return RoutingTableBlock(
         interval=interval,
         host_lo=host_lo,
         host_hi=host_hi,
-        loss_best=loss_best,
-        loss_second=loss_second,
-        lat_best=lat_best,
-        lat_second=lat_second,
+        loss_best=t.loss_best,
+        loss_second=t.loss_second,
+        lat_best=t.lat_best,
+        lat_second=t.lat_second,
     )
 
 

@@ -15,7 +15,13 @@ RON behaviours reproduced here:
   probes all died ("avoids completely failed links", Section 4).
 
 The selector also returns each criterion's *runner-up*, which the
-combined two-packet methods use to guarantee path distinctness.
+combined two-packet methods use to guarantee path distinctness.  Those
+two options are all any method reads, so selection is a top-2
+reduction, not a sort: :func:`_top2` makes two ``argmin`` passes over
+candidate tensors built with the option axis last, with the tie order
+of a stable sort.  One kernel serves both layouts: the dense one (every
+host a relay, (g, w, n, n) tensors) and the candidate-set one
+(:mod:`repro.relaysets`, (g, w, n, k) tensors).
 """
 
 from __future__ import annotations
@@ -76,27 +82,86 @@ def combine_loss(l_sr: np.ndarray, l_rd: np.ndarray) -> np.ndarray:
 _UNATTRACTIVE = 1e30
 
 
-def _top2(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the smallest and second-smallest entries along axis 1.
+def _top2(direct: np.ndarray, relay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best and runner-up option of every row, as relay positions.
 
-    ``values`` is (n_pairs, n_options).  Callers encode *forbidden*
-    options (relay == endpoint) as +inf and merely unattractive ones
-    (failed/unprobed) as :data:`_UNATTRACTIVE`, so the runner-up is
-    always a legal path even when every option looks terrible.
+    ``direct`` is (...) and ``relay`` is (..., k), the relay options in
+    option order along the last axis.  The result is row by row the
+    first two entries of a stable argsort of ``[direct, *relay]``, minus
+    one: position ``j`` is ``relay[..., j]`` and :data:`DIRECT` (-1) is
+    the direct option.  Two ``argmin`` passes find them without sorting:
+    ``argmin`` returns the first index of the minimum, which is the
+    stable sort's first entry; direct is option 0, so it wins every tie
+    (hence ``<=``); and a row whose relays are all +inf yields position
+    0, the stable answer.  Values are never NaN.
+
+    Callers encode *forbidden* options (relay == endpoint) as +inf and
+    merely unattractive ones (failed/unprobed) as :data:`_UNATTRACTIVE`,
+    so the runner-up is always a legal path even when every option looks
+    terrible.  ``relay`` is scratch: each row's best entry is
+    overwritten with +inf.
     """
-    order = np.argsort(values, axis=1, kind="stable")
-    return order[:, 0], order[:, 1]
+    rows = relay.reshape(-1, relay.shape[-1])
+    at = np.arange(len(rows))
+    rb = rows.argmin(axis=1)
+    best_val = rows[at, rb]
+    rows[at, rb] = np.inf
+    rs = rows.argmin(axis=1)
+    d = direct.reshape(-1)
+    best = np.where(d <= best_val, DIRECT, rb)
+    second = np.where(best == DIRECT, rb, np.where(d <= rows[at, rs], DIRECT, rs))
+    return best.reshape(direct.shape), second.reshape(direct.shape)
 
 
-def _candidate_bytes(relay_loss: np.ndarray, relay_lat: np.ndarray) -> None:
-    """Record how many candidate-tensor bytes this selection built."""
+def _rank(
+    loss_est: np.ndarray,
+    lat_est: np.ndarray,
+    failed: np.ndarray,
+    host_lo: int,
+    host_hi: int,
+    margin: float,
+    relay_loss: np.ndarray,
+    relay_lat: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """Best and runner-up relay positions per criterion, both layouts.
+
+    ``relay_loss``/``relay_lat`` are the (g, w, n, k) option-last
+    candidate tensors of source rows ``[host_lo, host_hi)``.  Returns
+    ``(loss_best, loss_second, lat_best, lat_second)`` as positions
+    along their last axis, :data:`DIRECT` for the direct path.
+    """
     from repro import telemetry
 
     rec = telemetry.get_recorder()
     if rec.enabled:
-        rec.counter_add(
-            "selector.candidate_bytes", relay_loss.nbytes + relay_lat.nbytes
-        )
+        rec.counter_add("selector.candidate_bytes", relay_loss.nbytes + relay_lat.nbytes)
+    # hysteresis: relays only win when they beat direct loss by > margin
+    direct_loss = loss_est[:, host_lo:host_hi, :] - margin
+    # failed or never-probed direct paths are unattractive too; direct
+    # wins latency ties (a tiny epsilon rather than a loss margin)
+    lat = lat_est[:, host_lo:host_hi, :]
+    down = failed[:, host_lo:host_hi, :] | ~np.isfinite(lat)
+    direct_lat = np.where(down, _UNATTRACTIVE, lat) - 1e-4
+    return (*_top2(direct_loss, relay_loss), *_top2(direct_lat, relay_lat))
+
+
+def _candidates(loss_est, lat_est, failed, sr, rd) -> tuple[np.ndarray, np.ndarray]:
+    """Option-last candidate tensors ``(relay_loss, relay_lat)``.
+
+    ``sr`` and ``rd`` gather a (G, n, n) estimate's legs ``s -> r`` and
+    ``r -> d`` into (g, w, n, k) arrays (or views that broadcast to it),
+    the layout's option axis last.  Forbidden options are left to the
+    caller.
+    """
+    relay_loss = combine_loss(sr(loss_est), rd(loss_est))
+    relay_lat = sr(lat_est) + rd(lat_est)
+    # the latency optimiser "avoids completely failed links"; failed or
+    # never-probed options stay *legal* (rank above forbidden relays)
+    bad = ~np.isfinite(relay_lat)
+    bad |= sr(failed)
+    bad |= rd(failed)
+    np.copyto(relay_lat, _UNATTRACTIVE, where=bad)
+    return relay_loss, relay_lat
 
 
 def _select_block_sparse(
@@ -113,69 +178,40 @@ def _select_block_sparse(
     Options per pair are ``[direct] + candidates(s, d)`` with candidates
     stored ascending by host id and endpoints excluded at compile time —
     exactly the finite entries of the dense option row in the same
-    order, so with a complete candidate set (policy ``all``) the stable
-    argsort picks bitwise-identical winners.  Option indices are mapped
-    back to host ids *here*; routing tables, router and traces never see
-    candidate positions.  Padded slots carry ``-1 == DIRECT`` ids at
-    +inf, which also makes the runner-up of a candidate-less pair fall
-    back to the direct path.
+    order, so with a complete candidate set (policy ``all``) the top-2
+    kernel picks bitwise-identical winners.  Candidate positions are
+    mapped back to host ids *here*; routing tables, router and traces
+    never see them.  Padded slots carry ``-1 == DIRECT`` ids at +inf,
+    which also makes the runner-up of a candidate-less pair fall back to
+    the direct path.
     """
-    g, n = loss_est.shape[0], loss_est.shape[1]
-    w = host_hi - host_lo
-    srcs = np.arange(host_lo, host_hi)
-    didx = np.arange(n)
-
+    n = loss_est.shape[1]
     cand = relay_set.padded_block(host_lo, host_hi)  # (w, n, k), -1 padded
-    k = cand.shape[2]
     pad = cand < 0
     safe = np.where(pad, 0, cand).astype(np.int64)
-
-    # --- candidate tensors: (g, w, d, k) — k, not n -------------------
-    l1 = loss_est[:, srcs[:, None, None], safe]  # leg s -> r
-    l2 = loss_est[:, safe, didx[None, :, None]]  # leg r -> d
-    relay_loss = combine_loss(l1, l2)
-    relay_loss[:, pad] = np.inf
-
-    relay_lat = lat_est[:, srcs[:, None, None], safe] + lat_est[:, safe, didx[None, :, None]]
-    leg_failed = (
-        failed[:, srcs[:, None, None], safe] | failed[:, safe, didx[None, :, None]]
+    # flat indices of the legs s -> r and r -> d into one slot's n * n
+    # estimates; np.take lays the gathered tensors out (g, w, d, k) in
+    # memory, where fancy indexing after a slice would put g innermost
+    flat_sr = np.arange(host_lo, host_hi)[:, None, None] * n + safe
+    flat_rd = safe * n + np.arange(n)[None, :, None]
+    relay_loss, relay_lat = _candidates(
+        loss_est,
+        lat_est,
+        failed,
+        sr=lambda a: np.take(a.reshape(a.shape[0], n * n), flat_sr, axis=1),
+        rd=lambda a: np.take(a.reshape(a.shape[0], n * n), flat_rd, axis=1),
     )
-    relay_lat = np.where(leg_failed | ~np.isfinite(relay_lat), _UNATTRACTIVE, relay_lat)
-    relay_lat[:, pad] = np.inf
-    direct_lat = np.where(
-        failed[:, host_lo:host_hi, :] | ~np.isfinite(lat_est[:, host_lo:host_hi, :]),
-        _UNATTRACTIVE,
-        lat_est[:, host_lo:host_hi, :],
+    for relay in (relay_loss, relay_lat):
+        np.copyto(relay, np.inf, where=pad)
+
+    positions = _rank(
+        loss_est, lat_est, failed, host_lo, host_hi, margin, relay_loss, relay_lat
     )
-    _candidate_bytes(relay_loss, relay_lat)
-
-    hid = id_dtype(n)
-    n_rows = g * w * n
-    # option j > 0 of pair row (s, d) is candidate j-1; option 0 and the
-    # padded slots are DIRECT
-    opt_ids = np.concatenate(
-        [np.full((w, n, 1), DIRECT, dtype=hid), cand.astype(hid)], axis=2
-    ).reshape(w * n, k + 1)
-    rowp = np.arange(n_rows) % (w * n)
-
-    direct_col = (loss_est[:, host_lo:host_hi, :] - margin).reshape(n_rows, 1)
-    loss_options = np.concatenate([direct_col, relay_loss.reshape(n_rows, k)], axis=1)
-    best, second = _top2(loss_options)
-    loss_best = opt_ids[rowp, best].reshape(g, w, n)
-    loss_second = opt_ids[rowp, second].reshape(g, w, n)
-
-    direct_col = (direct_lat - 1e-4).reshape(n_rows, 1)
-    lat_options = np.concatenate([direct_col, relay_lat.reshape(n_rows, k)], axis=1)
-    best, second = _top2(lat_options)
-    lat_best = opt_ids[rowp, best].reshape(g, w, n)
-    lat_second = opt_ids[rowp, second].reshape(g, w, n)
-
-    return SelectionTables(
-        loss_best=loss_best,
-        loss_second=loss_second,
-        lat_best=lat_best,
-        lat_second=lat_second,
-    )
+    ids = []
+    for pos in positions:
+        hosts = np.take_along_axis(cand[None], np.maximum(pos, 0)[..., None], axis=-1)
+        ids.append(np.where(pos == DIRECT, DIRECT, hosts[..., 0]))
+    return SelectionTables(*ids)
 
 
 def select_paths_block(
@@ -194,13 +230,13 @@ def select_paths_block(
     defers here with the full range, so the two can never disagree).
     The estimate matrices are still the *full* (G, n, n) — a relay leg
     ``r -> d`` is needed whatever the source — but the (G, w, n, n)
-    candidate tensors and the argsort ranking are built only for the
-    ``w = host_hi - host_lo`` requested source rows.  Every candidate
-    entry and every ranked row depends only on its own (g, s, d), so
-    the output is bitwise identical to slicing the full-mesh tables at
-    ``[:, host_lo:host_hi, :]`` — the invariant that lets the engine
-    (:mod:`repro.engine.sharding`) start collecting a shard's
-    source range as soon as *its* table block is selected.
+    option-last candidate tensors and their top-2 reduction are built
+    only for the ``w = host_hi - host_lo`` requested source rows.  Every
+    candidate entry and every reduced row depends only on its own
+    (g, s, d), so the output is bitwise identical to slicing the
+    full-mesh tables at ``[:, host_lo:host_hi, :]`` — the invariant that
+    lets the engine (:mod:`repro.engine.sharding`) start collecting a
+    shard's source range as soon as *its* table block is selected.
 
     Parameters
     ----------
@@ -241,72 +277,37 @@ def select_paths_block(
         return _select_block_sparse(
             loss_est, lat_est, failed, host_lo, host_hi, margin, relay_set
         )
-    w = host_hi - host_lo
 
-    idx = np.arange(n)
-    rows = np.arange(w)
-    srcs = rows + host_lo
-
-    # --- candidate matrices: option axis = [direct] + relays ----------
-    # loss of s->r->d for all (g, s in block, r, d)
-    l1 = loss_est[:, host_lo:host_hi, :, None]  # (g, s, r, 1)
-    l2 = loss_est[:, None, :, :]  # (g, 1, r, d)
-    relay_loss = combine_loss(l1, l2)  # (g, s, r, d)
-    relay_lat = lat_est[:, host_lo:host_hi, :, None] + lat_est[:, None, :, :]
+    # --- candidate tensors (g, s, d, r): option axis last --------------
+    # leg s -> r broadcasts over d; leg r -> d is the transposed
+    # estimate, made contiguous so that the tensors are option-last in
+    # memory too (a transposed view would give them its strides)
+    relay_loss, relay_lat = _candidates(
+        loss_est,
+        lat_est,
+        failed,
+        sr=lambda a: a[:, host_lo:host_hi, None, :],
+        rd=lambda a: np.ascontiguousarray(a.transpose(0, 2, 1))[:, None],
+    )
 
     # forbid r == s and r == d
-    relay_loss[:, rows, srcs, :] = np.inf
-    relay_lat[:, rows, srcs, :] = np.inf
-    relay_loss[:, :, idx, idx] = np.inf
-    relay_lat[:, :, idx, idx] = np.inf
+    rows = np.arange(host_hi - host_lo)
+    srcs = rows + host_lo
+    diag = np.arange(n)
+    for relay in (relay_loss, relay_lat):
+        relay[:, rows, :, srcs] = np.inf
+        relay[:, :, diag, diag] = np.inf
 
-    # the latency optimiser "avoids completely failed links"; failed or
-    # never-probed options stay *legal* (rank above forbidden relays)
-    leg_failed = failed[:, host_lo:host_hi, :, None] | failed[:, None, :, :]
-    relay_lat = np.where(leg_failed | ~np.isfinite(relay_lat), _UNATTRACTIVE, relay_lat)
-    relay_lat[:, rows, srcs, :] = np.inf  # re-forbid r == s / r == d
-    relay_lat[:, :, idx, idx] = np.inf
-    direct_lat = np.where(
-        failed[:, host_lo:host_hi, :] | ~np.isfinite(lat_est[:, host_lo:host_hi, :]),
-        _UNATTRACTIVE,
-        lat_est[:, host_lo:host_hi, :],
+    positions = _rank(
+        loss_est, lat_est, failed, host_lo, host_hi, margin, relay_loss, relay_lat
     )
-    _candidate_bytes(relay_loss, relay_lat)
-
-    hid = id_dtype(n)
-
-    # --- loss criterion ------------------------------------------------
-    # options: direct (with a hysteresis *bonus*) vs relays; we subtract
-    # the margin from direct's effective loss so relays only win when
-    # they are better by > margin.
-    n_rows = g * w * n
-    direct_col = (loss_est[:, host_lo:host_hi, :] - margin).reshape(n_rows, 1)
-    relay_cols = relay_loss.transpose(0, 1, 3, 2).reshape(n_rows, n)
-    loss_options = np.concatenate([direct_col, relay_cols], axis=1)
-    best, second = _top2(loss_options)
-    loss_best = (best - 1).astype(hid).reshape(g, w, n)  # option 0 -> DIRECT
-    loss_second = (second - 1).astype(hid).reshape(g, w, n)
-
-    # --- latency criterion ---------------------------------------------
-    # direct wins ties (subtract a tiny epsilon rather than a loss margin)
-    direct_col = (direct_lat - 1e-4).reshape(n_rows, 1)
-    relay_cols = relay_lat.transpose(0, 1, 3, 2).reshape(n_rows, n)
-    lat_options = np.concatenate([direct_col, relay_cols], axis=1)
-    best, second = _top2(lat_options)
-    lat_best = (best - 1).astype(hid).reshape(g, w, n)
-    lat_second = (second - 1).astype(hid).reshape(g, w, n)
-
-    # diagonal pairs are never routed; pin them to DIRECT so the dense
-    # and candidate-set layouts produce identical tables
-    for table in (loss_best, loss_second, lat_best, lat_second):
+    # a relay position is its host id; diagonal pairs are never routed,
+    # so pin them to DIRECT and the dense and candidate-set layouts
+    # produce identical tables
+    tables = [pos.astype(id_dtype(n)) for pos in positions]
+    for table in tables:
         table[:, rows, srcs] = DIRECT
-
-    return SelectionTables(
-        loss_best=loss_best,
-        loss_second=loss_second,
-        lat_best=lat_best,
-        lat_second=lat_second,
-    )
+    return SelectionTables(*tables)
 
 
 def select_paths_batch(

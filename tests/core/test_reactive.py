@@ -7,6 +7,8 @@ from repro.core.reactive import (
     ProbeSeries,
     _rolling_mean_excl,
     build_routing_tables,
+    build_table_block,
+    probe_estimates,
     run_probing,
 )
 from repro.netsim import RngFactory, config_2003
@@ -119,6 +121,26 @@ class TestRoutingTables:
         np.testing.assert_array_equal(got, tables.loss_best[last, 0, 1].repeat(3))
         got = tables.lookup("lat", np.array([-50.0]), src[:1], dst[:1], alternate=True)
         assert got[0] == tables.lat_second[0, 0, 1]
+
+    def test_block_lookup_is_the_full_lookup(self, tables, series):
+        """A table block answers like the full tables for its sources
+        (same slot clamp, same criterion map) and rejects the rest."""
+        params = config_2003().probing
+        est = probe_estimates(series, params)
+        block = build_table_block(*est, series.interval, params, 1, 3)
+        times = np.array([-5.0, 0.0, 100.0, 1e12])
+        src = np.array([1, 2, 1, 2])
+        dst = np.array([0, 4, 3, 0])
+        for criterion in ("loss", "lat"):
+            for alt in (False, True):
+                np.testing.assert_array_equal(
+                    block.lookup(criterion, times, src, dst, alternate=alt),
+                    tables.lookup(criterion, times, src, dst, alternate=alt),
+                )
+        with pytest.raises(IndexError, match=r"\[1, 3\)"):
+            block.lookup("loss", times[:1], np.array([3]), np.array([0]))
+        with pytest.raises(ValueError, match="'bandwidth'"):
+            block.lookup("bandwidth", times[:1], src[:1], dst[:1])
 
     def test_best_and_alternate_differ(self, tables):
         g = tables.n_slots // 2

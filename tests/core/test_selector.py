@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from repro.core.selector import DIRECT, combine_loss, select_paths
+from repro.core.selector import DIRECT, _UNATTRACTIVE, _top2, combine_loss, select_paths
 
 
 def matrices(n, loss=0.0, lat=0.050):
@@ -119,3 +122,40 @@ class TestValidation:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             select_paths(np.zeros((3, 3)), np.zeros((2, 2)), np.zeros((3, 3), bool))
+
+
+#: few distinct option values, so ties are common; +inf is a forbidden
+#: option and _UNATTRACTIVE a failed or unprobed one
+GRID = (0.0, 0.01, 0.02, 0.5, 1.0, _UNATTRACTIVE, np.inf)
+
+
+@st.composite
+def option_tensors(draw):
+    """``(direct, relay)``: one to three leading dims, 1-40 relay options."""
+    lead = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    k = draw(st.integers(1, 40))
+    values = st.sampled_from(GRID)
+    direct = draw(arrays(np.float64, lead, elements=values))
+    relay = draw(arrays(np.float64, lead + (k,), elements=values))
+    relay[draw(arrays(np.bool_, lead))] = np.inf  # rows with every relay forbidden
+    return direct, relay
+
+
+class TestTop2Kernel:
+    @given(option_tensors())
+    @example(  # direct ties a relay; every option ties
+        (
+            np.array([0.01, 0.01, np.inf]),
+            np.array([[0.02, 0.01], [0.01, 0.0], [np.inf, np.inf]]),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stable_argsort(self, tensors):
+        """Best and runner-up are the first two entries of a stable
+        argsort of ``[direct, *relay]``, shifted so direct is -1."""
+        direct, relay = tensors
+        options = np.concatenate([direct[..., None], relay], axis=-1)
+        order = np.argsort(options, axis=-1, kind="stable") - 1
+        best, second = _top2(direct, relay.copy())
+        np.testing.assert_array_equal(best, order[..., 0])
+        np.testing.assert_array_equal(second, order[..., 1])

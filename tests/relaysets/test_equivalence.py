@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.selector import DIRECT, select_paths_batch
+from repro.core.selector import DIRECT, select_paths_batch, select_paths_block
 from repro.engine.spill import run_slug
 from repro.netsim import Network, config_2003
 from repro.relaysets import RelayPolicySpec, compile_relay_set
@@ -103,6 +103,62 @@ def test_selector_tables_bitwise_identical():
         got, want = getattr(s, name), getattr(d, name)
         assert got.dtype == want.dtype, name
         np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+TABLE_NAMES = ("loss_best", "loss_second", "lat_best", "lat_second")
+
+
+def quantised_estimates(g, n, seed):
+    """Leg estimates on the grids real probe windows produce, so that
+    options tie and only the stable option order decides between them."""
+    rng = np.random.default_rng(seed)
+    loss = rng.integers(0, 21, size=(g, n, n)) / 100  # a 100-probe window
+    lat = rng.integers(1, 16, size=(g, n, n)) * 0.010  # a 10 ms grid
+    lat[rng.random((g, n, n)) < 0.1] = np.inf  # never-probed legs
+    failed = rng.random((g, n, n)) < 0.05
+    failed[:, rng.choice(n, 2, replace=False), :] = True  # whole rows down
+    return loss, lat, failed
+
+
+@pytest.mark.parametrize("margin", [0.0, 0.005])
+def test_selector_tables_bitwise_identical_on_ties(margin):
+    g, n = 6, 12
+    loss, lat, failed = quantised_estimates(g, n, seed=3)
+    rs = compile_relay_set(ALL, n)
+    d = select_paths_batch(loss, lat, failed, margin)
+    s = select_paths_batch(loss, lat, failed, margin, relay_set=rs)
+    for name in TABLE_NAMES:
+        np.testing.assert_array_equal(getattr(s, name), getattr(d, name), err_msg=name)
+
+
+@pytest.mark.parametrize("policy", [None, "all", "k_nearest"])
+def test_block_rows_equal_full_tables(policy):
+    """``select_paths_block`` over any source range is those rows of the
+    full-mesh tables, in the dense and the candidate-set layout (whose
+    padded width ``k`` follows the range)."""
+    g, n = 4, 12
+    loss, lat, failed = quantised_estimates(g, n, seed=4)
+    rng = np.random.default_rng(5)
+    rs = None
+    if policy is not None:
+        points = rng.uniform(0.0, 1.0, size=(n, 2))
+        distances = np.linalg.norm(points[:, None] - points[None], axis=-1)
+        rs = compile_relay_set(
+            RelayPolicySpec(policy, k=3) if policy == "k_nearest" else ALL,
+            n,
+            distances=distances,
+        )
+    full = select_paths_batch(loss, lat, failed, relay_set=rs)
+    for _ in range(8):
+        lo = int(rng.integers(0, n))
+        hi = int(rng.integers(lo + 1, n + 1))
+        block = select_paths_block(loss, lat, failed, lo, hi, relay_set=rs)
+        for name in TABLE_NAMES:
+            np.testing.assert_array_equal(
+                getattr(block, name),
+                getattr(full, name)[:, lo:hi],
+                err_msg=f"{name} rows [{lo}, {hi})",
+            )
 
 
 def test_collect_trace_and_tables_bitwise_identical(dense_sparse):

@@ -9,14 +9,16 @@ the telemetry-off run exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro import telemetry
 from repro.analysis.streaming import StreamingAnalyzer
-from repro.engine import ShardedCollector, always_shard
-from repro.testbed import dataset
+from repro.engine import ShardedCollector, always_shard, plan_shards
+from repro.relaysets import RelayPolicySpec
+from repro.testbed import collect, dataset
 from repro.trace import trace_fingerprint
 
 DURATION = 150.0
@@ -212,3 +214,30 @@ class TestLazySubstrateCounters:
         substrate = [ev for ev in spans if ev["name"] == "substrate"]
         assert len(substrate) == 1 and substrate[0]["cat"] == "stage"
         assert substrate[0]["args"]["substrate"] == "lazy"
+
+
+class TestCandidateBytes:
+    """``selector.candidate_bytes`` counts the two float64 candidate
+    tensors: 16 bytes per (slot, source, destination, relay option)."""
+
+    def test_dense_full_build(self):
+        with telemetry.recording() as rec:
+            col = collect(dataset("ronnarrow"), 300.0, seed=1)
+        g, n = col.tables.n_slots, col.network.topology.n_hosts
+        assert rec.counter_snapshot()["selector.candidate_bytes"] == 16 * g * n**3
+
+    def test_candidate_set_per_table_range(self):
+        ds = dataclasses.replace(
+            dataset("ronnarrow"), relay_policy=RelayPolicySpec("k_nearest", k=4)
+        )
+        with telemetry.recording() as rec:
+            col = ShardedCollector(always_shard(n_shards=2, executor="serial")).collect(
+                ds, 300.0, seed=1
+            )
+        g, n = col.tables.n_slots, col.network.topology.n_hosts
+        rs = col.network.paths.relay_set
+        want = sum(
+            16 * g * (hi - lo) * n * rs.padded_block(lo, hi).shape[2]
+            for lo, hi in plan_shards(n, 2)
+        )
+        assert rec.counter_snapshot()["selector.candidate_bytes"] == want
