@@ -61,7 +61,7 @@ class Runner:
         runs on the scale-out engine: scenarios with at least
         ``engine.min_hosts`` hosts are collected by a
         :class:`~repro.engine.ShardedCollector` (all cores on one run,
-        optionally over a lazy or shared-memory substrate) instead of
+        optionally over a lazy substrate) instead of
         the sequential pipeline.  The engine probes, selects routing
         tables and collects shard by shard with the stages overlapped:
         each collection shard starts the moment its routing-table block
@@ -139,7 +139,7 @@ class Runner:
                 ds.relay_policy,
             )
             with self._lock_for(key):
-                network = self._network_for(key, ds, spec, seed, collector is not None)
+                network = self._network_for(key, ds, spec, seed, collector)
                 col = run(
                     ds,
                     spec.duration_s,
@@ -164,17 +164,22 @@ class Runner:
             return self._locks.setdefault(key, threading.Lock())
 
     def _network_for(
-        self, key: _WeatherKey, ds, spec: ExperimentSpec, seed: int, engine_run: bool
+        self,
+        key: _WeatherKey,
+        ds,
+        spec: ExperimentSpec,
+        seed: int,
+        collector: ShardedCollector | None,
     ) -> Network:
         """The cached substrate for one weather key (caller holds the
-        key lock).  Engine-eligible runs get the engine's substrate
+        key lock).  Engine runs get their collector's substrate
         flavour; sub-``min_hosts`` runs keep the eager default, so small
         sweeps never pay lazy-bank bookkeeping on the sequential path."""
         entry = self._networks.get(key)
         if entry is None:
             cfg = ds.network_config(spec.duration_s, include_events=spec.include_events)
-            substrate = self.engine.resolved_substrate if engine_run else "eager"
-            budget = self.engine.max_cached_segments if engine_run else None
+            substrate = collector.config.substrate if collector else "eager"
+            budget = collector.config.max_cached_segments if collector else None
             network = Network.build(
                 ds.hosts(),
                 cfg,

@@ -14,7 +14,7 @@ changing a single output bit:
   ones still run.  The trace fingerprint is identical to the sequential
   :func:`repro.testbed.collect`, because every source block draws from
   its own named RNG substreams and canonical row order is by probe id.
-* :class:`~repro.engine.substrate.LazyTimelineBank` (via
+* :class:`~repro.netsim.substrate.LazyTimelineBank` (via
   ``Network.build(..., substrate="lazy")``) generates per-segment
   substrate timelines on demand behind an LRU budget, so 100-host
   meshes don't pay for — or hold — state their probes never touch.
@@ -22,30 +22,11 @@ changing a single output bit:
   shard's partial trace through disk as it completes
   (:mod:`repro.engine.spill`) and merges into memory-mapped arrays, so
   a run larger than RAM finishes with residency bounded by
-  ``max_resident_shards``; ``shared_memory=True`` parks the substrate
-  timeline arrays in one ``multiprocessing.shared_memory`` block
-  (:class:`~repro.engine.substrate.SharedTimelineBank`) so process
-  pools stop duplicating the substrate — at which point ``"process"``
-  becomes the default executor above ``process_min_hosts`` hosts.
+  ``max_resident_shards``.
 
 Wire it into sweeps through ``repro.api.Runner(engine=EngineConfig())``.
 """
 
-from .sharding import (
-    EngineConfig,
-    ShardedCollector,
-    always_shard,
-    auto_executor,
-    plan_shards,
-)
-from .substrate import LazyTimelineBank, SharedTimelineBank
+from .sharding import EngineConfig, ShardedCollector, always_shard, plan_shards
 
-__all__ = [
-    "EngineConfig",
-    "ShardedCollector",
-    "always_shard",
-    "auto_executor",
-    "plan_shards",
-    "LazyTimelineBank",
-    "SharedTimelineBank",
-]
+__all__ = ["EngineConfig", "ShardedCollector", "always_shard", "plan_shards"]

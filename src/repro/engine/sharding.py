@@ -70,7 +70,7 @@ from repro.core.reactive import (
 )
 from repro.netsim.network import Network
 from repro.netsim.rng import RngFactory
-from repro.netsim.substrate import SharedTimelineBank
+from repro.netsim.state import check_cache_budget
 from repro.telemetry import clock as _tclock
 from repro.testbed.collection import (
     CollectionPlan,
@@ -83,38 +83,10 @@ from repro.trace.store import StreamingMerge
 
 from .spill import SpillPlan, clear_run_dir, collect_rows_spilled, run_slug
 
-__all__ = [
-    "EngineConfig",
-    "ShardedCollector",
-    "plan_shards",
-    "always_shard",
-    "auto_executor",
-    "PROCESS_MIN_HOSTS",
-]
+__all__ = ["EngineConfig", "ShardedCollector", "plan_shards", "always_shard"]
 
 _EXECUTORS = ("serial", "thread", "process")
 _SUBSTRATES = ("eager", "lazy")
-
-#: host count at which a zero-copy (shared-memory) run defaults to the
-#: process executor: below it, pool start-up costs more than the GIL.
-PROCESS_MIN_HOSTS = 64
-
-
-def auto_executor(network: Network, n_hosts: int, min_hosts: int = PROCESS_MIN_HOSTS) -> str:
-    """The executor an unset (``None``) config resolves to.
-
-    ``"process"`` once the substrate is zero-copy across workers — its
-    timeline arrays live in shared memory — and the mesh is big enough
-    to amortise pool start-up; ``"thread"`` otherwise (the kernels are
-    NumPy-heavy and release the GIL).
-    """
-    if (
-        n_hosts >= min_hosts
-        and hasattr(os, "fork")
-        and isinstance(network.state.congestion, SharedTimelineBank)
-    ):
-        return "process"
-    return "thread"
 
 
 def plan_shards(n_hosts: int, n_shards: int) -> list[tuple[int, int]]:
@@ -144,18 +116,15 @@ class EngineConfig:
 
     ``n_shards=None`` means one shard per available core; probing and
     collection fan out over the same host ranges.  The ``executor``
-    defaults to ``None`` — auto: ``"thread"`` normally (the kernels are
-    NumPy-heavy and release the GIL), ``"process"`` once
-    ``shared_memory`` makes the substrate zero-copy across workers and
-    the mesh has at least ``process_min_hosts`` hosts; set it explicitly
-    to pin a choice (``"serial"`` runs every task inline — debugging,
-    tests, one-worker runs).  ``min_hosts`` is the scenario size at
-    which :class:`repro.api.Runner` switches a run from the sequential
+    defaults to ``"thread"`` (the kernels are NumPy-heavy and release
+    the GIL); ``"process"`` forks a worker pool that inherits the run's
+    plans, and ``"serial"`` runs every task inline (debugging, tests,
+    one-worker runs).  ``min_hosts`` is the scenario size at which
+    :class:`repro.api.Runner` switches a run from the sequential
     pipeline to the engine.  ``substrate="lazy"`` builds networks with
-    on-demand timeline generation bounded by an LRU budget of
-    ``max_cached_segments`` per cause; ``shared_memory=True`` parks the
-    (eager) timeline arrays in ``multiprocessing.shared_memory`` so
-    pool workers read one physical copy.
+    on-demand timeline generation, bounded by an LRU budget of
+    ``max_cached_segments`` per cause if one is set (a budget needs
+    the lazy substrate: the eager one caches nothing).
 
     Out-of-core runs: ``spill_dir`` makes every shard write its partial
     trace to disk as it completes and the merge scatter into
@@ -175,30 +144,26 @@ class EngineConfig:
     """
 
     n_shards: int | None = None
-    executor: str | None = None
+    executor: str = "thread"
     max_workers: int | None = None
     min_hosts: int = 32
     substrate: str = "eager"
     max_cached_segments: int | None = None
     spill_dir: str | Path | None = None
     max_resident_shards: int | None = None
-    shared_memory: bool = False
-    process_min_hosts: int = PROCESS_MIN_HOSTS
 
     def __post_init__(self) -> None:
         if self.n_shards is not None and self.n_shards < 1:
             raise ValueError("n_shards must be None (auto) or >= 1")
-        if self.executor is not None and self.executor not in _EXECUTORS:
-            raise ValueError(
-                f"executor must be None (auto) or one of {_EXECUTORS}, "
-                f"got {self.executor!r}"
-            )
+        if self.executor not in _EXECUTORS:
+            raise ValueError(f"executor must be one of {_EXECUTORS}, got {self.executor!r}")
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError("max_workers must be None or >= 1")
         if self.min_hosts < 1:
             raise ValueError("min_hosts must be >= 1")
         if self.substrate not in _SUBSTRATES:
             raise ValueError(f"substrate must be one of {_SUBSTRATES}, got {self.substrate!r}")
+        check_cache_budget(self.substrate, self.max_cached_segments)
         if self.max_resident_shards is not None:
             if self.max_resident_shards < 1:
                 raise ValueError("max_resident_shards must be None or >= 1")
@@ -207,18 +172,13 @@ class EngineConfig:
                     "max_resident_shards bounds spilled shards in flight; "
                     "it needs spill_dir"
                 )
-        if self.shared_memory and self.substrate != "eager":
-            raise ValueError(
-                "shared_memory shares the eager timeline arrays; combine it "
-                f"with substrate='eager', not {self.substrate!r}"
-            )
-        if self.process_min_hosts < 1:
-            raise ValueError("process_min_hosts must be >= 1")
 
     @property
     def resolved_substrate(self) -> str:
-        """The ``Network.build`` substrate flavour this config implies."""
-        return "shared" if self.shared_memory else self.substrate
+        """The same as :attr:`substrate`.  Kept only because the
+        benchmark's ``perfbench/workloads.py`` reads it; the program
+        reads ``substrate``."""
+        return self.substrate
 
 
 # -- the pool ----------------------------------------------------------------
@@ -454,13 +414,12 @@ class ShardedCollector:
             seed=seed,
             include_events=include_events,
             network=network,
-            substrate=cfg.resolved_substrate,
+            substrate=cfg.substrate,
             max_cached_segments=cfg.max_cached_segments,
         )
         n = plan.n_hosts
         params = spec.network_config(duration_s, include_events=include_events).probing
         ranges = plan_shards(n, self.resolve_shards(n))
-        executor = cfg.executor or auto_executor(plan.network, n, cfg.process_min_hosts)
         probing = None
         if any(m.needs_probing for m in plan.methods):
             probing = prepare_probing(plan.network, params, RngFactory(seed))
@@ -489,7 +448,7 @@ class ShardedCollector:
         collect_submit: dict[tuple[int, int], int] = {}
         workers = min(self.resolve_workers() or os.cpu_count() or 1, len(ranges))
         context = _RunContext(probing=probing, collection=plan, spill=directory)
-        with _ShardPool(executor, workers, initializer=_init_worker, context=context) as pool:
+        with _ShardPool(cfg.executor, workers, initializer=_init_worker, context=context) as pool:
             pending: dict[Future, tuple[str, int]] = {}
             ready: deque = deque()  # (shard, table block) pairs ready to collect
 
@@ -555,7 +514,7 @@ class ShardedCollector:
             args = {
                 "probe": {"hosts": n},
                 "tables": {"hosts": n},
-                "collect": {"executor": executor, "shards": len(ranges)},
+                "collect": {"executor": cfg.executor, "shards": len(ranges)},
                 "merge": {"parts": len(ranges)},
             }
             for stage, (t0, t1) in window.items():
@@ -574,7 +533,7 @@ class ShardedCollector:
                         "horizon_s": plan.meta.horizon_s,
                         "hosts": plan.n_hosts,
                         "methods": list(plan.meta.method_names),
-                        "executor": executor,
+                        "executor": cfg.executor,
                         "n_shards": len(ranges),
                         "pid": os.getpid(),
                     },

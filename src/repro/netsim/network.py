@@ -122,11 +122,9 @@ class Network:
         """Convenience constructor: topology + state in one call.
 
         ``substrate="lazy"`` defers per-segment timeline generation to
-        first use behind an LRU budget of ``max_cached_segments``;
-        ``"shared"`` parks the timeline arrays in shared memory so a
-        process pool reads one physical copy (see
-        :mod:`repro.engine.substrate`).  Query results are bitwise
-        identical to the eager default either way.  ``relay_policy``
+        first use behind an LRU budget of ``max_cached_segments`` (see
+        :mod:`repro.netsim.substrate`); query results are bitwise
+        identical to the eager default.  ``relay_policy``
         (a :class:`repro.relaysets.RelayPolicySpec`) switches the path
         table to the sparse per-pair candidate layout; ``None`` keeps
         the dense all-relays reference.
@@ -219,9 +217,7 @@ class Network:
         for lo in range(0, n, CHUNK):
             hi = min(lo + CHUNK, n)
             d1 = self._eval(pids1[lo:hi], times[lo:hi], rng)
-            d2 = self._eval_conditional(
-                pids2[lo:hi], times[lo:hi] + gap, d1, rng
-            )
+            d2 = self._eval(pids2[lo:hi], times[lo:hi] + gap, rng, first=d1)
             out.lost1[lo:hi] = d1.lost
             out.lost2[lo:hi] = d2.lost
             out.latency1[lo:hi] = d1.latency
@@ -258,12 +254,7 @@ class Network:
             hi = min(lo + CHUNK, n)
             detail = None
             for j in range(m):
-                if detail is None:
-                    detail = self._eval(pids[lo:hi], times[lo:hi, j], rng)
-                else:
-                    detail = self._eval_conditional(
-                        pids[lo:hi], times[lo:hi, j], detail, rng
-                    )
+                detail = self._eval(pids[lo:hi], times[lo:hi, j], rng, first=detail)
                 lost[lo:hi, j] = detail.lost
                 lat[lo:hi, j] = detail.latency
         return lost, lat
@@ -304,8 +295,20 @@ class Network:
             raise ValueError(f"invalid path id {bad} (degenerate src/relay/dst?)")
 
     def _eval(
-        self, pids: np.ndarray, times: np.ndarray, rng: np.random.Generator
+        self,
+        pids: np.ndarray,
+        times: np.ndarray,
+        rng: np.random.Generator,
+        first: _Detail | None = None,
     ) -> _Detail:
+        """Evaluate one packet per row.
+
+        With ``first`` (the previous copy on each row: a pair's first
+        packet, or a train's previous one), the congestion and outage
+        draws on segments both copies cross are conditioned on the first
+        copy's outcome there.  The returned ``p_cong``/``p_out`` are the
+        unconditioned severities either way.
+        """
         segs = self.paths.seg[pids]
         t = times[:, None] + self.paths.offset[pids]
         valid = segs >= 0
@@ -315,17 +318,29 @@ class Network:
         p_out = self.state.outage.severity_at(segs, t)
         p_base = np.where(valid, self.state.base_loss[safe], 0.0)
 
+        p_cong_eff, p_out_eff = p_cong, p_out
+        if first is not None:
+            # which of this copy's segments also appear on the first's path?
+            match = (segs[:, :, None] == first.segs[:, None, :]) & valid[:, :, None]
+            shared = match.any(axis=2)
+            k = match.argmax(axis=2)  # first matching column in the first's path
+            rows = np.arange(len(pids))[:, None]
+            dt = np.abs(t - first.t[rows, k])
+
+            cong_corr = self.state.congestion.corr_length[safe]
+            out_corr = self.state.outage.corr_length[safe]
+
+            p_cong_eff = self._condition(
+                p_cong, first.p_cong, first.lost_cong, shared, k, dt, cong_corr
+            )
+            p_out_eff = self._condition(p_out, first.p_out, first.lost_out, shared, k, dt, out_corr)
+
         u = rng.random((3,) + segs.shape)
-        lost_cong = u[0] < p_cong
-        lost_out = u[1] < p_out
-        lost_base = u[2] < p_base
+        lost_cong = u[0] < p_cong_eff
+        lost_out = u[1] < p_out_eff
+        lost_base = u[2] < p_base  # memoryless: never conditioned
         lost_fwd = rng.random(len(pids)) < self.paths.forward_loss[pids]
-        lost = (
-            lost_cong.any(axis=1)
-            | lost_out.any(axis=1)
-            | lost_base.any(axis=1)
-            | lost_fwd
-        )
+        lost = lost_cong.any(axis=1) | lost_out.any(axis=1) | lost_base.any(axis=1) | lost_fwd
         latency = self._latency(pids, segs, t, valid, safe, p_cong, rng)
         return _Detail(
             segs=segs,
@@ -364,65 +379,6 @@ class Network:
             + jitter.sum(axis=1)
             + queue.sum(axis=1)
             + inflation.sum(axis=1)
-        )
-
-    def _eval_conditional(
-        self,
-        pids: np.ndarray,
-        times: np.ndarray,
-        first: _Detail,
-        rng: np.random.Generator,
-    ) -> _Detail:
-        """Evaluate the second copy of a pair, conditioning shared segments."""
-        segs = self.paths.seg[pids]
-        t = times[:, None] + self.paths.offset[pids]
-        valid = segs >= 0
-        safe = np.clip(segs, 0, None)
-
-        p_cong = self.state.congestion.severity_at(segs, t)
-        p_out = self.state.outage.severity_at(segs, t)
-        p_base = np.where(valid, self.state.base_loss[safe], 0.0)
-
-        # which of packet2's segments also appear on packet1's path?
-        match = (segs[:, :, None] == first.segs[:, None, :]) & valid[:, :, None]
-        shared = match.any(axis=2)
-        k = match.argmax(axis=2)  # first matching column in packet1's path
-        rows = np.arange(len(pids))[:, None]
-        dt = np.abs(t - first.t[rows, k])
-
-        cong_corr = self.state.congestion.corr_length[safe]
-        out_corr = self.state.outage.corr_length[safe]
-
-        p_cong_eff = self._condition(
-            p_cong, first.p_cong, first.lost_cong, shared, k, dt, cong_corr
-        )
-        p_out_eff = self._condition(
-            p_out, first.p_out, first.lost_out, shared, k, dt, out_corr
-        )
-
-        u = rng.random((3,) + segs.shape)
-        lost_cong = u[0] < p_cong_eff
-        lost_out = u[1] < p_out_eff
-        lost_base = u[2] < p_base  # memoryless: never conditioned
-        lost_fwd = rng.random(len(pids)) < self.paths.forward_loss[pids]
-        lost = (
-            lost_cong.any(axis=1)
-            | lost_out.any(axis=1)
-            | lost_base.any(axis=1)
-            | lost_fwd
-        )
-        latency = self._latency(pids, segs, t, valid, safe, p_cong, rng)
-        return _Detail(
-            segs=segs,
-            t=t,
-            p_cong=p_cong,
-            p_out=p_out,
-            lost_cong=lost_cong,
-            lost_out=lost_out,
-            lost_base=lost_base,
-            lost_fwd=lost_fwd,
-            lost=lost,
-            latency=latency,
         )
 
     @staticmethod

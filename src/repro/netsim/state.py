@@ -57,6 +57,7 @@ __all__ = [
     "build_state",
     "busy_flags",
     "busy_lookup",
+    "check_cache_budget",
     "shifted_busy",
 ]
 
@@ -356,8 +357,8 @@ class SegmentTimelineRecipe:
     Every segment's congestion/outage/delay timeline is a pure function
     of (topology, horizon, seed) through its own named RNG substream, so
     timelines can be generated in any order and in any batch — eagerly
-    all at once (:func:`build_state`) or on demand by the engine's
-    :class:`repro.engine.substrate.LazyTimelineBank` — and come out
+    all at once (:func:`build_state`) or on demand by
+    :class:`repro.netsim.substrate.LazyTimelineBank` — and come out
     bitwise identical.  :meth:`generate` is the batch path;
     :meth:`timeline` draws one segment through :class:`EpisodeSet` and
     :class:`Timeline` objects and is the reference the batch is held to.
@@ -597,6 +598,20 @@ class SegmentTimelineRecipe:
         )
 
 
+def check_cache_budget(substrate: str, max_cached_segments: int | None) -> None:
+    """Reject a segment-cache budget that nothing would read: only the
+    lazy bank caches, and its budget is ``None`` (unbounded) or >= 1."""
+    if max_cached_segments is None:
+        return
+    if max_cached_segments < 1:
+        raise ValueError("max_cached_segments must be None (unbounded) or >= 1")
+    if substrate != "lazy":
+        raise ValueError(
+            "max_cached_segments bounds the lazy bank's cache; it needs "
+            f"substrate='lazy', not {substrate!r}"
+        )
+
+
 def build_state(
     topology: Topology,
     horizon: float,
@@ -608,19 +623,16 @@ def build_state(
 
     ``substrate="eager"`` (the default) generates every segment's
     timelines up front; ``"lazy"`` defers generation to first use behind
-    an LRU budget of ``max_cached_segments`` per cause; ``"shared"``
-    generates eagerly into :mod:`multiprocessing.shared_memory` so
-    process-pool workers read one physical copy (see
-    :mod:`repro.engine.substrate`).  All hold the same layout and
+    an LRU budget of ``max_cached_segments`` per cause (see
+    :mod:`repro.netsim.substrate`).  Both hold the same layout and
     produce bitwise-identical query results.  The work is recorded as
     a ``substrate`` stage span.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    if substrate not in ("eager", "lazy", "shared"):
-        raise ValueError(
-            f"substrate must be 'eager', 'lazy' or 'shared', got {substrate!r}"
-        )
+    if substrate not in ("eager", "lazy"):
+        raise ValueError(f"substrate must be 'eager' or 'lazy', got {substrate!r}")
+    check_cache_budget(substrate, max_cached_segments)
     with telemetry.get_recorder().span("substrate", cat="stage", substrate=substrate):
         cfg = topology.config
         reg = topology.registry
@@ -644,13 +656,9 @@ def build_state(
                 for kind in KINDS
             }
         else:
-            if substrate == "shared":
-                from .substrate import SharedTimelineBank as bank_cls
-            else:
-                bank_cls = TimelineBank
             every = np.arange(n_seg)
             banks = {
-                kind: bank_cls.from_csr(
+                kind: TimelineBank.from_csr(
                     *recipe.generate(kind, every), horizon, recipe.corr_lengths(kind)
                 )
                 for kind in KINDS

@@ -1,15 +1,10 @@
-"""Lazy and shared-memory substrates: one layout, different residency.
-
-Lives in ``repro.netsim`` (it depends on nothing above the netsim
-layer) and is re-exported as :mod:`repro.engine.substrate`, the
-scale-out engine's public face for it.
+"""The lazy substrate: the eager layout, generated on first use.
 
 A 100-host mesh has ~10k segments, each with three stochastic
-timelines, and most of them are quiet.  Every bank holds the layout of
+timelines, and most of them are quiet.  Both banks hold the layout of
 :class:`~repro.netsim.state.TimelineBank`: a per-segment flag plus the
 busy segments' shifted boundaries and severities, searched in one
-``np.searchsorted``.  The banks differ only in when segments are
-generated and where the arrays live:
+``np.searchsorted``.  They differ only in when segments are generated:
 
 * the eager bank (:func:`repro.netsim.state.build_state`) generates
   every segment up front, in one batch per cause;
@@ -17,23 +12,18 @@ generated and where the arrays live:
   quiet or busy).  A query generates its not-yet-generated segments in
   one batch, then answers through the same busy-only search.  With
   ``max_cached`` set, at most that many generated segments per cause
-  stay resident and the least recently used is evicted first;
-* :class:`SharedTimelineBank` is the eager bank with its arrays in one
-  :mod:`multiprocessing.shared_memory` block.
+  stay resident and the least recently used is evicted first.
 
 Because every timeline comes from its own named RNG substream
 (:class:`~repro.netsim.state.SegmentTimelineRecipe`), generation order
 and batching — and eviction followed by regeneration — cannot change a
-single drawn value, and the shared arrays are byte-for-byte copies, so
-all three answer every query bitwise identically.
+single drawn value, so both banks answer every query bitwise
+identically.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-import weakref
-from multiprocessing import shared_memory
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +40,7 @@ from .state import (
     shifted_busy,
 )
 
-__all__ = ["LazyTimelineBank", "SharedTimelineBank"]
+__all__ = ["LazyTimelineBank"]
 
 #: per-segment states of a lazy bank
 ABSENT, QUIET, BUSY = 0, 1, 2
@@ -233,94 +223,3 @@ class LazyTimelineBank:
         csr = self.recipe.generate(self.kind, np.arange(self.n_segments))
         return TimelineBank.from_csr(*csr, self.horizon, self.corr_length)
 
-
-def _release_shm(shm: shared_memory.SharedMemory, owner_pid: int) -> None:
-    """Finalizer: close this process's mapping; the creator unlinks.
-
-    Runs when the owning bank is garbage collected.  ``close`` can
-    raise ``BufferError`` if an outside reference to one of the views
-    survives the bank — the segment then lives until that mapping dies,
-    and ``unlink`` (name removal, creator only) still proceeds so
-    nothing leaks in ``/dev/shm``.  Forked pool workers inherit the
-    bank with the creator's pid recorded, so their exit never unlinks a
-    segment the parent is still using.
-    """
-    try:
-        shm.close()
-    except BufferError:  # pragma: no cover - depends on caller's refs
-        pass
-    if os.getpid() == owner_pid:
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-
-
-def _attach_shared_bank(name, layout, horizon, shift):
-    """Rebuild a :class:`SharedTimelineBank` around an existing segment
-    (the unpickling path for ``spawn`` workers)."""
-    bank = SharedTimelineBank.__new__(SharedTimelineBank)
-    shm = shared_memory.SharedMemory(name=name)
-    bank._init_views(shm, layout, horizon, shift, owner_pid=-1)
-    return bank
-
-
-class SharedTimelineBank(TimelineBank):
-    """A :class:`~repro.netsim.state.TimelineBank` whose arrays live in
-    POSIX shared memory.
-
-    Construction builds the eager layout exactly like the private bank,
-    then moves its arrays (busy boundaries, severities, correlation
-    lengths, mean severities and busy flags) into one ``SharedMemory``
-    block and rebinds the attributes as views over it — every query
-    method is inherited unchanged, and the bytes are copies, so results
-    are bitwise identical to a private bank.
-
-    Pickling transmits only the segment *name* plus the array layout;
-    unpickling attaches to the existing block, which is what lets a
-    ``spawn`` process pool share one substrate copy instead of
-    serialising it per worker (``fork`` workers simply inherit the
-    mapping).  The creating process unlinks the segment when its bank
-    is garbage collected.
-    """
-
-    #: the arrays relocated into shared memory (8-byte ones first, so
-    #: every view stays aligned)
-    SHARED_FIELDS = ("_bounds", "_sev", "corr_length", "mean_severity", "_busy")
-
-    def _init_csr(self, *args) -> None:
-        super()._init_csr(*args)
-        arrays = [np.ascontiguousarray(getattr(self, f)) for f in self.SHARED_FIELDS]
-        shm = shared_memory.SharedMemory(
-            create=True, size=max(sum(a.nbytes for a in arrays), 1)
-        )
-        layout, offset = [], 0
-        for field, arr in zip(self.SHARED_FIELDS, arrays):
-            layout.append((field, arr.shape, str(arr.dtype), offset))
-            view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf, offset=offset)
-            view[...] = arr
-            offset += arr.nbytes
-        self._init_views(shm, layout, self.horizon, self.shift, owner_pid=os.getpid())
-
-    def _init_views(self, shm, layout, horizon, shift, owner_pid: int) -> None:
-        self.horizon = horizon
-        self.shift = shift
-        self._shm = shm
-        self._layout = layout
-        self._owner_pid = owner_pid
-        for field, shape, dtype, offset in layout:
-            view = np.ndarray(shape, dtype=np.dtype(dtype), buffer=shm.buf, offset=offset)
-            view.flags.writeable = False  # workers share these pages
-            setattr(self, field, view)
-        self._finalizer = weakref.finalize(self, _release_shm, shm, owner_pid)
-
-    @property
-    def shm_name(self) -> str:
-        """Name of the backing shared-memory segment (diagnostics)."""
-        return self._shm.name
-
-    def __reduce__(self):
-        return (
-            _attach_shared_bank,
-            (self._shm.name, self._layout, self.horizon, self.shift),
-        )

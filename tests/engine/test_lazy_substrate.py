@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from repro.engine import ShardedCollector, always_shard
-from repro.engine.substrate import LazyTimelineBank
 from repro.netsim import Network, RngFactory, config_2003
 from repro.netsim.state import SegmentTimelineRecipe, build_state
+from repro.netsim.substrate import LazyTimelineBank
 from repro.netsim.topology import build_topology
 from repro.scenarios import stress_mesh
 from repro.testbed import collect, dataset
@@ -121,6 +121,9 @@ def test_substrate_validation():
     ds = dataset("ronnarrow")
     with pytest.raises(ValueError, match="substrate"):
         Network.build(ds.hosts(), ds.network_config(100.0), 100.0, substrate="warm")
+    with pytest.raises(ValueError, match="max_cached_segments"):
+        # a budget the eager bank would silently ignore
+        Network.build(ds.hosts(), ds.network_config(100.0), 100.0, max_cached_segments=5)
     topo = build_topology(tiny_hosts(), config_2003(), RngFactory(0))
     recipe = SegmentTimelineRecipe(topo, 100.0, RngFactory(0))
     with pytest.raises(ValueError):

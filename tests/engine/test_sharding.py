@@ -77,6 +77,8 @@ class TestConfigValidation:
             dict(max_workers=0),
             dict(min_hosts=0),
             dict(substrate="mmap"),
+            dict(max_cached_segments=5),  # the eager substrate reads no budget
+            dict(substrate="lazy", max_cached_segments=0),
         ):
             with pytest.raises(ValueError):
                 EngineConfig(**kwargs)

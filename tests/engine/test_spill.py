@@ -1,11 +1,10 @@
-"""Out-of-core engine runs: spill-to-disk and shared-memory substrates
-must be bitwise identical to the in-RAM sequential pipeline, and a
-large spilled run must complete inside a bounded memory budget."""
+"""Out-of-core engine runs: spill-to-disk runs must be bitwise
+identical to the in-RAM sequential pipeline, and a large spilled run
+must complete inside a bounded memory budget."""
 
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -13,21 +12,13 @@ import pytest
 
 from repro.analysis import StreamingAnalyzer
 from repro.api import ExperimentSpec, Runner
-from repro.core.reactive import run_probing
-from repro.engine import (
-    EngineConfig,
-    ShardedCollector,
-    SharedTimelineBank,
-    always_shard,
-    auto_executor,
-)
+from repro.engine import EngineConfig, ShardedCollector, always_shard
 from repro.engine.spill import shard_files
-from repro.netsim import Network, RngFactory
 from repro.scenarios import flash_crowd, stress_mesh
 from repro.testbed import collect, dataset
 from repro.trace import trace_fingerprint
 
-from ..conftest import assert_traces_equal, sharded_probe_series
+from ..conftest import assert_traces_equal
 
 DURATION = 240.0
 
@@ -69,18 +60,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="spill_dir"):
             EngineConfig(max_resident_shards=2)
 
-    def test_shared_memory_requires_eager(self):
-        with pytest.raises(ValueError, match="eager"):
-            EngineConfig(shared_memory=True, substrate="lazy")
-
     def test_executor_none_is_auto(self):
-        cfg = EngineConfig()
-        assert cfg.executor is None
-        assert EngineConfig(executor="thread").executor == "thread"
+        assert EngineConfig().executor == "thread"
+        with pytest.raises(ValueError, match="executor"):
+            EngineConfig(executor=None)
 
     def test_resolved_substrate(self):
         assert EngineConfig().resolved_substrate == "eager"
-        assert EngineConfig(shared_memory=True).resolved_substrate == "shared"
         assert EngineConfig(substrate="lazy").resolved_substrate == "lazy"
 
     def test_max_resident_caps_workers(self, tmp_path):
@@ -166,62 +152,6 @@ def test_spilled_trace_is_memmapped(tmp_path):
     # analyses copy-on-select, so downstream use is unaffected
     sub = col.trace.select(col.trace.method_id == 0)
     assert sub.src.flags.writeable
-
-
-class TestSharedMemorySubstrate:
-    def test_shm_collection_matches_private(self):
-        ds, seq = sequential_for("ronnarrow")
-        col = ShardedCollector(
-            EngineConfig(n_shards=3, executor="serial", shared_memory=True)
-        ).collect(ds, DURATION, seed=6)
-        assert_traces_equal(col.trace, seq.trace)
-        assert isinstance(col.network.state.congestion, SharedTimelineBank)
-
-    def test_shm_probing_matches_private(self):
-        ds, _ = sequential_for("ronnarrow")
-        hosts = ds.hosts()
-        cfg = ds.network_config(DURATION)
-        private = Network.build(hosts, cfg, DURATION, seed=6)
-        shared = Network.build(hosts, cfg, DURATION, seed=6, substrate="shared")
-        a = run_probing(private, cfg.probing, RngFactory(6))
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            b = sharded_probe_series(shared, cfg.probing, RngFactory(6), 4, pool=pool)
-        assert a.fingerprint() == b.fingerprint()
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork()")
-    def test_auto_executor_promotes_process_on_shm(self):
-        ds, seq = sequential_for("ronnarrow")
-        shared = Network.build(
-            ds.hosts(), ds.network_config(DURATION), DURATION, seed=6,
-            substrate="shared",
-        )
-        n = len(ds.hosts())
-        assert auto_executor(shared, n, min_hosts=n) == "process"
-        assert auto_executor(shared, n, min_hosts=n + 1) == "thread"
-        assert auto_executor(seq.network, n, min_hosts=n) == "thread"  # private
-        # and an auto (executor=None) run over the threshold really forks,
-        # producing the identical trace
-        col = ShardedCollector(
-            EngineConfig(n_shards=2, shared_memory=True, process_min_hosts=n)
-        ).collect(ds, DURATION, seed=6, network=shared)
-        assert_traces_equal(col.trace, seq.trace)
-
-    def test_shm_segments_released_on_gc(self):
-        import gc
-
-        ds, _ = sequential_for("ronnarrow")
-        net = Network.build(
-            ds.hosts(), ds.network_config(60.0), 60.0, seed=1, substrate="shared"
-        )
-        names = {
-            getattr(net.state, kind).shm_name
-            for kind in ("congestion", "outage", "delay")
-        }
-        assert len(names) == 3
-        del net
-        gc.collect()
-        live = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
-        assert not (names & live)
 
 
 class TestRunnerIntegration:

@@ -1,16 +1,14 @@
-"""One layout, three residencies: the eager, lazy and shared banks must
-answer every query bitwise identically to the per-segment timelines
-they are built from — on default, all-quiet and all-busy substrates."""
-
-import pickle
+"""One layout, two residencies: the eager and lazy banks must answer
+every query bitwise identically to the per-segment timelines they are
+built from — on default, all-quiet and all-busy substrates."""
 
 import numpy as np
 import pytest
 
-from repro.engine.substrate import LazyTimelineBank, SharedTimelineBank
 from repro.netsim import RngFactory, config_2003
 from repro.netsim.config import PathologyParams
 from repro.netsim.state import KINDS, SegmentTimelineRecipe, TimelineBank
+from repro.netsim.substrate import LazyTimelineBank
 from repro.netsim.topology import build_topology
 
 from ..conftest import tiny_hosts
@@ -70,12 +68,10 @@ def banks(topo, kind):
     corr = recipe(topo).corr_lengths(kind)
     out = {
         "eager": TimelineBank.from_csr(*csr, HORIZON, corr),
-        "shared": SharedTimelineBank.from_csr(*csr, HORIZON, corr),
         "lazy": LazyTimelineBank(recipe(topo), kind),
     }
     for budget in (1, 3, 16):
         out[f"lazy-{budget}"] = LazyTimelineBank(recipe(topo), kind, max_cached=budget)
-    out["shared-unpickled"] = pickle.loads(pickle.dumps(out["shared"]))
     return out
 
 
@@ -125,19 +121,3 @@ def test_lazy_bank_generates_only_what_queries_touch():
     lazy.severity_at(np.array([3, 5]), np.array([30.0, 40.0]))
     assert lazy.generated_segments == 2
 
-
-def test_shared_bank_pickles_by_name():
-    topo = build_topology(tiny_hosts(), config_2003(), RngFactory(4))
-    n = len(topo.registry)
-    bank = SharedTimelineBank.from_csr(
-        *recipe(topo).generate("outage", np.arange(n)),
-        HORIZON,
-        recipe(topo).corr_lengths("outage"),
-    )
-    assert "_busy" in SharedTimelineBank.SHARED_FIELDS
-    payload = pickle.dumps(bank)
-    assert len(payload) < 1024  # the name and layout, not the arrays
-    twin = pickle.loads(payload)
-    assert twin.shm_name == bank.shm_name
-    for field in SharedTimelineBank.SHARED_FIELDS:
-        assert getattr(twin, field).tobytes() == getattr(bank, field).tobytes(), field
