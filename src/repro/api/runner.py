@@ -39,8 +39,9 @@ __all__ = ["Runner"]
 #: The registered DatasetSpec object itself is part of the key, so
 #: re-registering a dataset (overwrite=True) never serves a stale
 #: substrate built from the old definition.  The relay policy is part
-#: of the key too: a sparse and a dense run build different path
-#: tables, so they must never share a cached substrate.
+#: of the key too: policies build different path tables, and a network
+#: records the policy it was asked for (its run identity), so two
+#: policies must never share a cached substrate.
 _WeatherKey = tuple[DatasetSpec, float, int, bool, object]
 
 
@@ -124,12 +125,8 @@ class Runner:
             engine=collector is not None,
         ):
             if not self.reuse_networks:
-                col = run(
-                    ds, spec.duration_s, seed=seed, include_events=spec.include_events
-                )
-                return ExperimentResult(
-                    spec=spec.single(seed), seed=seed, collection=col
-                )
+                col = run(ds, spec.duration_s, seed=seed, include_events=spec.include_events)
+                return ExperimentResult(spec=spec.single(seed), seed=seed, collection=col)
 
             key: _WeatherKey = (
                 dataset(spec.dataset),

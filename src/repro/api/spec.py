@@ -89,10 +89,11 @@ class ExperimentSpec:
     the :class:`repro.api.Runner` fans them out.
 
     ``relays`` attaches a :class:`repro.relaysets.RelayPolicySpec` —
-    which relay candidates each pair may route through (the sparse
-    interdomain-scale path; see :mod:`repro.relaysets`).  The default
-    ``None`` keeps the dense all-relays path table, so pre-existing
-    specs stay value-equal and their goldens byte-identical.
+    which relay candidates each pair may route through (restrictive
+    policies are the interdomain-scale path; see :mod:`repro.relaysets`).
+    The default ``None`` lets every third host relay (policy ``all``)
+    and leaves the policy out of the run identity, so pre-existing specs
+    stay value-equal and their goldens byte-identical.
     """
 
     dataset: str

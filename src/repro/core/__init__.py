@@ -9,7 +9,6 @@
 """
 
 from .history import PathHistory
-from .mesh import random_relays
 from .methods import (
     METHODS,
     RON2003_PROBE_METHODS,
@@ -71,7 +70,6 @@ __all__ = [
     "prepare_probing",
     "probe_estimates",
     "probe_rows",
-    "random_relays",
     "register_method",
     "resolve_routes",
     "run_probing",

@@ -2,64 +2,17 @@
 
 Mesh routing duplicates each packet: "the first packet is sent directly
 over the Internet, and the second is sent through a randomly chosen
-intermediate node."  These helpers pick the random intermediates,
-vectorised, with the constraints the scheme implies (the relay differs
-from both endpoints; two-relay methods use two *different* relays).
+intermediate node."  :func:`random_candidate_relays` picks the random
+intermediates from each pair's relay candidates, vectorised, with the
+constraints the scheme implies (the relay differs from both endpoints;
+two-relay methods use two *different* relays).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["random_relays", "random_candidate_relays"]
-
-
-def random_relays(
-    rng: np.random.Generator,
-    n_hosts: int,
-    src: np.ndarray,
-    dst: np.ndarray,
-    exclude: np.ndarray | None = None,
-) -> np.ndarray:
-    """Uniformly random relay per row, excluding src, dst and ``exclude``.
-
-    Sampling is done by drawing an index among the *allowed* hosts for
-    each row, so the distribution is exactly uniform over valid relays
-    (rejection-free).
-    """
-    src = np.asarray(src)
-    dst = np.asarray(dst)
-    if src.shape != dst.shape:
-        raise ValueError("src and dst must have the same shape")
-    forbidden = 2 + (0 if exclude is None else 1)
-    if n_hosts <= forbidden:
-        raise ValueError(
-            f"need more than {forbidden} hosts to pick a distinct relay"
-        )
-
-    if np.any(src == dst):
-        raise ValueError("src and dst must differ")
-    if exclude is not None and np.any((exclude == src) | (exclude == dst)):
-        raise ValueError("exclude must differ from src and dst")
-
-    # Order statistics trick: draw k uniform over the allowed count and
-    # shift it past each forbidden value in ascending order.
-    a = np.minimum(src, dst)
-    b = np.maximum(src, dst)
-    if exclude is None:
-        k = rng.integers(0, n_hosts - 2, size=src.shape)
-        k = k + (k >= a)
-        k = k + (k >= b)
-        return k
-    ex = np.asarray(exclude)
-    lo = np.minimum(a, ex)
-    hi = np.maximum(b, ex)
-    mid = a + b + ex - lo - hi
-    k = rng.integers(0, n_hosts - 3, size=src.shape)
-    k = k + (k >= lo)
-    k = k + (k >= mid)
-    k = k + (k >= hi)
-    return k
+__all__ = ["random_candidate_relays"]
 
 
 def random_candidate_relays(
@@ -71,10 +24,13 @@ def random_candidate_relays(
 ) -> np.ndarray:
     """Uniformly random relay per row, drawn from the pair's candidate set.
 
-    The sparse counterpart of :func:`random_relays`: each row's relay is
-    drawn uniformly over ``relay_set.candidates(src, dst)`` (minus
-    ``exclude``), again rejection-free — one index draw per row, shifted
-    past the excluded candidate's position.
+    Each row's relay is drawn uniformly over
+    ``relay_set.candidates(src, dst)`` (minus ``exclude``),
+    rejection-free: one index draw per row, shifted past the excluded
+    candidate's position.  Candidates are sorted by host id, so on a
+    complete set (policy ``all``) this is the order-statistics draw over
+    all hosts: ``integers(0, n - 2)`` shifted past the sorted endpoints
+    (and ``exclude``), the same values and generator state.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)

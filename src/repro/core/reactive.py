@@ -208,9 +208,7 @@ class RoutingTableBlock(_SlotLookup):
         table = self._table(criterion, alternate)
         rows = np.asarray(src, dtype=np.int64) - self.host_lo
         if rows.size and (rows.min() < 0 or rows.max() >= self.host_hi - self.host_lo):
-            raise IndexError(
-                f"source outside table block [{self.host_lo}, {self.host_hi})"
-            )
+            raise IndexError(f"source outside table block [{self.host_lo}, {self.host_hi})")
         return table[self.slot_of(times), rows, dst]
 
 
@@ -341,9 +339,7 @@ def merge_probe_blocks(plan: ProbingPlan, blocks) -> ProbeSeries:
     covered = np.zeros(n, dtype=bool)
     for b in blocks:
         if covered[b.host_lo : b.host_hi].any():
-            raise ValueError(
-                f"overlapping probe blocks at hosts [{b.host_lo}, {b.host_hi})"
-            )
+            raise ValueError(f"overlapping probe blocks at hosts [{b.host_lo}, {b.host_hi})")
         covered[b.host_lo : b.host_hi] = True
         lost[:, b.host_lo : b.host_hi, :] = b.lost
         latency[:, b.host_lo : b.host_hi, :] = b.latency
@@ -370,9 +366,7 @@ def run_probing(
     return merge_probe_blocks(plan, [probe_rows(plan, 0, plan.n_hosts)])
 
 
-def _rolling_mean_excl(
-    x: np.ndarray, window: int
-) -> np.ndarray:
+def _rolling_mean_excl(x: np.ndarray, window: int) -> np.ndarray:
     """Rolling mean over the last ``window`` entries *before* each index.
 
     ``x`` is (G, ...); output[g] averages x[max(0, g-window) : g], and
@@ -400,9 +394,10 @@ def _slot_block(n: int, n_options: int | None = None, budget: int = _SELECT_BUDG
     """How many slots to select at once for an n-host mesh.
 
     ``n_options`` is the per-pair option count the selector will build
-    (the relay axis): ``n`` for the dense layout, the candidate set's
-    ragged maximum for sparse runs — which is what lets sparse meshes
-    select far more slots per pass inside the same memory bound.
+    (the relay axis): ``n`` for the broadcast builder (every host a
+    candidate), the candidate set's ragged maximum for the gather
+    builder — which is what lets restrictive relay policies select far
+    more slots per pass inside the same memory bound.
     """
     if n_options is None:
         n_options = n
@@ -468,7 +463,8 @@ def _select_rows(
     g_total, n = loss_est.shape[0], loss_est.shape[1]
     shape = (g_total, host_hi - host_lo, n)
     out = SelectionTables(*(np.empty(shape, dtype=id_dtype(n)) for _ in range(4)))
-    block = _slot_block(n, None if relay_set is None else relay_set.max_k + 1)
+    gather = relay_set is not None and not relay_set.is_complete
+    block = _slot_block(n, relay_set.max_k + 1 if gather else None)
     for g0 in range(0, g_total, block):
         g1 = min(g0 + block, g_total)
         part = select_paths_block(
@@ -571,9 +567,7 @@ def assemble_routing_tables(
     covered = np.zeros(n, dtype=bool)
     for b in blocks:
         if covered[b.host_lo : b.host_hi].any():
-            raise ValueError(
-                f"overlapping table blocks at hosts [{b.host_lo}, {b.host_hi})"
-            )
+            raise ValueError(f"overlapping table blocks at hosts [{b.host_lo}, {b.host_hi})")
         covered[b.host_lo : b.host_hi] = True
         loss_best[:, b.host_lo : b.host_hi, :] = b.loss_best
         loss_second[:, b.host_lo : b.host_hi, :] = b.loss_second

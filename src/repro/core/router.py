@@ -23,7 +23,7 @@ import numpy as np
 from repro.netsim.topology import PathTable
 from repro.trace.records import id_dtype
 
-from .mesh import random_candidate_relays, random_relays
+from .mesh import random_candidate_relays
 from .methods import Method, RouteKind
 from .reactive import RoutingTables
 from .selector import DIRECT
@@ -45,26 +45,6 @@ class ResolvedRoutes:
     relay2: np.ndarray | None
 
 
-def _random_relays(
-    rng: np.random.Generator,
-    paths: PathTable,
-    src: np.ndarray,
-    dst: np.ndarray,
-    exclude: np.ndarray | None = None,
-) -> np.ndarray:
-    """Random relay per row, honouring the path table's candidate sets.
-
-    Dense tables (and complete candidate sets, where every non-endpoint
-    host is a candidate) keep the exact order-statistics draw of
-    :func:`random_relays` so existing seeded runs stay bitwise
-    reproducible; sparse tables draw from the pair's candidates.
-    """
-    rs = paths.relay_set
-    if rs is None or rs.is_complete:
-        return random_relays(rng, paths.n_hosts, src, dst, exclude=exclude)
-    return random_candidate_relays(rng, rs, src, dst, exclude=exclude)
-
-
 def _resolve_kind(
     kind: RouteKind,
     src: np.ndarray,
@@ -80,16 +60,14 @@ def _resolve_kind(
     if kind == RouteKind.DIRECT:
         return np.full(len(src), DIRECT, dtype=hid)
     if kind == RouteKind.RAND:
-        return _random_relays(rng, paths, src, dst, exclude=exclude).astype(hid)
+        return random_candidate_relays(rng, paths.relay_set, src, dst, exclude).astype(hid)
     if tables is None:
         raise ValueError(f"route kind {kind.value} needs routing tables")
     criterion = "lat" if kind == RouteKind.LAT else "loss"
     return tables.lookup(criterion, times, src, dst).astype(hid)
 
 
-def _pids_for(
-    paths: PathTable, src: np.ndarray, dst: np.ndarray, relay: np.ndarray
-) -> np.ndarray:
+def _pids_for(paths: PathTable, src: np.ndarray, dst: np.ndarray, relay: np.ndarray) -> np.ndarray:
     direct = paths.direct_pids(src, dst)
     via_rows = relay != DIRECT
     pids = np.asarray(direct, dtype=np.int64).copy()
@@ -138,19 +116,19 @@ def resolve_routes(
             relay2 = np.empty_like(relay1)
             has_ex = relay1 != DIRECT
             if has_ex.any():
-                relay2[has_ex] = _random_relays(
+                relay2[has_ex] = random_candidate_relays(
                     rng,
-                    paths,
+                    paths.relay_set,
                     src[has_ex],
                     dst[has_ex],
                     exclude=relay1[has_ex].astype(np.int64),
                 ).astype(hid)
             if (~has_ex).any():
-                relay2[~has_ex] = _random_relays(
-                    rng, paths, src[~has_ex], dst[~has_ex]
+                relay2[~has_ex] = random_candidate_relays(
+                    rng, paths.relay_set, src[~has_ex], dst[~has_ex]
                 ).astype(hid)
         else:
-            relay2 = _random_relays(rng, paths, src, dst).astype(hid)
+            relay2 = random_candidate_relays(rng, paths.relay_set, src, dst).astype(hid)
         pid2 = _pids_for(paths, src, dst, relay2)
         return ResolvedRoutes(pid1=pid1, relay1=relay1, pid2=pid2, relay2=relay2)
 

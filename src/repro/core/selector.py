@@ -19,9 +19,13 @@ combined two-packet methods use to guarantee path distinctness.  Those
 two options are all any method reads, so selection is a top-2
 reduction, not a sort: :func:`_top2` makes two ``argmin`` passes over
 candidate tensors built with the option axis last, with the tie order
-of a stable sort.  One kernel serves both layouts: the dense one (every
-host a relay, (g, w, n, n) tensors) and the candidate-set one
-(:mod:`repro.relaysets`, (g, w, n, k) tensors).
+of a stable sort.  Two builders feed the one kernel, chosen from the
+candidate set (:mod:`repro.relaysets`): when every host is a candidate
+(no set, or a complete one) the broadcast builder slices (g, w, n, n)
+tensors from the estimates, a relay position being its host id; any
+other set goes to the gather builder, which gathers (g, w, n, k)
+tensors of each pair's candidates.  On a complete set the two give
+bitwise-identical tables; each is the faster one on its own input.
 """
 
 from __future__ import annotations
@@ -173,13 +177,13 @@ def _select_block_sparse(
     margin: float,
     relay_set,
 ) -> SelectionTables:
-    """Candidate-set selection: gather (g, w, d, k) tensors, not n-slabs.
+    """The gather builder: (g, w, d, k) tensors of each pair's candidates.
 
     Options per pair are ``[direct] + candidates(s, d)`` with candidates
     stored ascending by host id and endpoints excluded at compile time —
-    exactly the finite entries of the dense option row in the same
-    order, so with a complete candidate set (policy ``all``) the top-2
-    kernel picks bitwise-identical winners.  Candidate positions are
+    exactly the finite entries of the broadcast builder's option row in
+    the same order, so on a complete candidate set (policy ``all``) the
+    top-2 kernel picks bitwise-identical winners.  Candidate positions are
     mapped back to host ids *here*; routing tables, router and traces
     never see them.  Padded slots carry ``-1 == DIRECT`` ids at +inf,
     which also makes the runner-up of a candidate-less pair fall back to
@@ -204,9 +208,7 @@ def _select_block_sparse(
     for relay in (relay_loss, relay_lat):
         np.copyto(relay, np.inf, where=pad)
 
-    positions = _rank(
-        loss_est, lat_est, failed, host_lo, host_hi, margin, relay_loss, relay_lat
-    )
+    positions = _rank(loss_est, lat_est, failed, host_lo, host_hi, margin, relay_loss, relay_lat)
     ids = []
     for pos in positions:
         hosts = np.take_along_axis(cand[None], np.maximum(pos, 0)[..., None], axis=-1)
@@ -255,30 +257,24 @@ def select_paths_block(
     relay_set:
         a :class:`repro.relaysets.RelaySet` restricting each pair's
         options to its candidate relays; ``None`` ranks every host.
-        With a complete set (policy ``all``) the results are bitwise
-        identical to the dense path.
+        The input picks the builder: every host (``None`` or a complete
+        set, such as policy ``all``) takes the broadcast builder, any
+        other set the gather builder (:func:`_select_block_sparse`).
     """
     if loss_est.ndim != 3:
         raise ValueError("estimate matrices must be (G, n, n)")
     g, n = loss_est.shape[0], loss_est.shape[1]
-    if (
-        loss_est.shape != (g, n, n)
-        or lat_est.shape != (g, n, n)
-        or failed.shape != (g, n, n)
-    ):
+    if loss_est.shape != (g, n, n) or lat_est.shape != (g, n, n) or failed.shape != (g, n, n):
         raise ValueError("estimate matrices must all be (G, n, n)")
     if not 0 <= host_lo < host_hi <= n:
         raise ValueError(f"invalid source range [{host_lo}, {host_hi}) for {n} hosts")
-    if relay_set is not None:
-        if relay_set.n_hosts != n:
-            raise ValueError(
-                f"relay set is for {relay_set.n_hosts} hosts, estimates for {n}"
-            )
-        return _select_block_sparse(
-            loss_est, lat_est, failed, host_lo, host_hi, margin, relay_set
-        )
+    if relay_set is not None and relay_set.n_hosts != n:
+        raise ValueError(f"relay set is for {relay_set.n_hosts} hosts, estimates for {n}")
+    if relay_set is not None and not relay_set.is_complete:
+        return _select_block_sparse(loss_est, lat_est, failed, host_lo, host_hi, margin, relay_set)
 
-    # --- candidate tensors (g, s, d, r): option axis last --------------
+    # --- the broadcast builder: every host a candidate -----------------
+    # candidate tensors (g, s, d, r), option axis last
     # leg s -> r broadcasts over d; leg r -> d is the transposed
     # estimate, made contiguous so that the tensors are option-last in
     # memory too (a transposed view would give them its strides)
@@ -298,12 +294,9 @@ def select_paths_block(
         relay[:, rows, :, srcs] = np.inf
         relay[:, :, diag, diag] = np.inf
 
-    positions = _rank(
-        loss_est, lat_est, failed, host_lo, host_hi, margin, relay_loss, relay_lat
-    )
+    positions = _rank(loss_est, lat_est, failed, host_lo, host_hi, margin, relay_loss, relay_lat)
     # a relay position is its host id; diagonal pairs are never routed,
-    # so pin them to DIRECT and the dense and candidate-set layouts
-    # produce identical tables
+    # so pin them to DIRECT and the two builders produce identical tables
     tables = [pos.astype(id_dtype(n)) for pos in positions]
     for table in tables:
         table[:, rows, srcs] = DIRECT
@@ -363,9 +356,7 @@ def select_paths(
     n = loss_est.shape[0]
     if loss_est.shape != (n, n) or lat_est.shape != (n, n) or failed.shape != (n, n):
         raise ValueError("estimate matrices must all be (n, n)")
-    t = select_paths_batch(
-        loss_est[None], lat_est[None], failed[None], margin, relay_set=relay_set
-    )
+    t = select_paths_batch(loss_est[None], lat_est[None], failed[None], margin, relay_set=relay_set)
     return SelectionTables(
         loss_best=t.loss_best[0],
         loss_second=t.loss_second[0],

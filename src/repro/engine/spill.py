@@ -43,17 +43,18 @@ def run_slug(plan: CollectionPlan) -> str:
 
     Keyed by the *full* run identity — dataset, mode, exact horizon,
     seed, event schedule on/off, host and method lists (``repr`` floats
-    are exact, so near-equal horizons cannot collide), and — for sparse
-    runs — the relay candidate-set policy — so a
+    are exact, so near-equal horizons cannot collide), and — when the
+    network was built with one — the relay candidate-set policy — so a
     :class:`repro.api.Runner` sweep over any spec axis sharing one
     ``spill_dir`` never overwrites one run's shards or merged
-    memory-mapped columns with another's (a sparse and a dense run of
-    the same dataset cannot clobber each other).  Dense runs omit the
-    relay token entirely, keeping their slugs byte-identical to what
-    they were before candidate sets existed.  Two collections of the
-    *same* run share a slug and produce identical bytes, so re-running
-    is idempotent; the re-run first unlinks the earlier files (see
-    :func:`clear_run_dir`), so a live earlier result keeps its bytes.
+    memory-mapped columns with another's (a run with a relay policy and
+    one without, of the same dataset, cannot clobber each other).  Runs
+    built without a policy omit the relay token entirely, keeping their
+    slugs byte-identical to what they were before candidate sets
+    existed.  Two collections of the *same* run share a slug and
+    produce identical bytes, so re-running is idempotent; the re-run
+    first unlinks the earlier files (see :func:`clear_run_dir`), so a
+    live earlier result keeps its bytes.
     """
     meta = plan.meta
     ident_t = (
@@ -65,9 +66,9 @@ def run_slug(plan: CollectionPlan) -> str:
         meta.host_names,
         meta.method_names,
     )
-    relay_set = plan.network.paths.relay_set
-    if relay_set is not None:
-        ident_t = ident_t + (("relay_policy",) + relay_set.spec.canonical(),)
+    relay_policy = plan.network.topology.relay_policy
+    if relay_policy is not None:
+        ident_t = ident_t + (("relay_policy",) + relay_policy.canonical(),)
     ident = repr(ident_t)
     digest = hashlib.sha256(ident.encode()).hexdigest()[:10]
     name = re.sub(r"[^A-Za-z0-9._-]+", "_", meta.dataset)

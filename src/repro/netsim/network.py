@@ -101,9 +101,7 @@ class _Detail:
 class Network:
     """Topology + stochastic state + sampling, behind one object."""
 
-    def __init__(
-        self, topology: Topology, state: SegmentState, rngs: RngFactory
-    ) -> None:
+    def __init__(self, topology: Topology, state: SegmentState, rngs: RngFactory) -> None:
         self.topology = topology
         self.state = state
         self._rng = rngs.stream("traffic")
@@ -124,10 +122,10 @@ class Network:
         ``substrate="lazy"`` defers per-segment timeline generation to
         first use behind an LRU budget of ``max_cached_segments`` (see
         :mod:`repro.netsim.substrate`); query results are bitwise
-        identical to the eager default.  ``relay_policy``
-        (a :class:`repro.relaysets.RelayPolicySpec`) switches the path
-        table to the sparse per-pair candidate layout; ``None`` keeps
-        the dense all-relays reference.
+        identical to the eager default.  ``relay_policy`` (a
+        :class:`repro.relaysets.RelayPolicySpec`) chooses each pair's
+        relay candidates, which the path table holds; ``None`` compiles
+        policy ``all``, every third host, as in the paper.
         """
         rngs = RngFactory(seed)
         topology = build_topology(hosts, config, rngs, relay_policy=relay_policy)
@@ -164,7 +162,7 @@ class Network:
 
     @property
     def relay_set(self):
-        """The compiled relay candidate set (None = dense layout)."""
+        """The compiled relay candidate set (policy ``all`` when none was asked for)."""
         return self.topology.relay_set
 
     # ------------------------------------------------------------------
@@ -367,11 +365,7 @@ class Network:
     ) -> np.ndarray:
         jitter_scale = np.where(valid, self.state.jitter_s[safe], 0.0)
         jitter = rng.gamma(2.0, 1.0, size=segs.shape) * (jitter_scale / 2.0)
-        queue = (
-            self.state.queue_s[safe]
-            * p_cong
-            * rng.uniform(0.5, 1.5, size=segs.shape)
-        )
+        queue = self.state.queue_s[safe] * p_cong * rng.uniform(0.5, 1.5, size=segs.shape)
         queue = np.where(valid, queue, 0.0)
         inflation = self.state.delay.severity_at(segs, t)
         return (

@@ -3,9 +3,12 @@
 The topology maps a host catalogue onto the segment model of
 :mod:`repro.netsim.segments` and precomputes *every* path the overlay can
 use: the direct path for each ordered host pair, plus the one-hop
-indirect path through each possible relay (the paper's routing uses "at
-most one intermediate node", Section 1).  Precomputing all N^3 paths as
-flat arrays is what lets trace generation run fully vectorised.
+indirect path through each of the pair's relay candidates (the paper's
+routing uses "at most one intermediate node", Section 1).  The
+candidates are a compiled :class:`~repro.relaysets.RelaySet`; without a
+relay policy every third host is one, as in the paper.  Precomputing
+the paths as flat arrays is what lets trace generation run fully
+vectorised.
 """
 
 from __future__ import annotations
@@ -53,37 +56,25 @@ class HostSpec:
 class PathTable:
     """Flat arrays describing every direct and one-hop path.
 
-    **Dense layout** (``relay_set is None``, the default): every relay
-    combination is materialized.  Path ids are
-    ``direct_pid(s, d) = s * N + d`` and
-    ``relay_pid(s, r, d) = N^2 + ((s * N + r) * N + d)``.  Rows for
-    degenerate combinations (``s == d``, relay equal to an endpoint)
-    are filled with :data:`NO_SEGMENT` and flagged invalid.
-
-    **Sparse layout** (a :class:`repro.relaysets.RelaySet` given): only
-    the direct paths plus the candidate relay paths exist —
-    ``N^2 + relay_set.nnz`` rows instead of ``N^2 + N^3``.  Relay path
-    ids follow the CSR order of the candidate set:
-    ``relay_pid(s, r, d) = N^2 + position of (s, r, d) in relay_set``;
-    looking up a non-candidate relay raises.  Path ids never appear in
-    traces or fingerprints (only relay *host* ids do), so the two
-    layouts produce identical outputs when their candidate choices
-    agree.
+    The rows are the direct paths plus the candidate relay paths of a
+    :class:`repro.relaysets.RelaySet`: ``N^2 + relay_set.nnz`` rows.
+    ``direct_pid(s, d) = s * N + d``; relay path ids follow the CSR
+    order of the candidate set,
+    ``relay_pid(s, r, d) = N^2 + position of (s, r, d) in relay_set``,
+    and looking up a non-candidate relay raises.  Diagonal direct rows
+    (``s == d``) are filled with :data:`NO_SEGMENT` and flagged invalid.
+    Path ids never appear in traces or fingerprints (only relay *host*
+    ids do).
     """
 
     MAX_LEN = 11  # direct paths use 6 slots, relay paths 11
 
-    def __init__(self, n_hosts: int, relay_set: RelaySet | None = None) -> None:
-        if relay_set is not None and relay_set.n_hosts != n_hosts:
-            raise ValueError(
-                f"relay set is for {relay_set.n_hosts} hosts, table for {n_hosts}"
-            )
+    def __init__(self, n_hosts: int, relay_set: RelaySet) -> None:
+        if relay_set.n_hosts != n_hosts:
+            raise ValueError(f"relay set is for {relay_set.n_hosts} hosts, table for {n_hosts}")
         self.n_hosts = n_hosts
         self.relay_set = relay_set
-        if relay_set is None:
-            n_paths = n_hosts * n_hosts + n_hosts**3
-        else:
-            n_paths = n_hosts * n_hosts + relay_set.nnz
+        n_paths = n_hosts * n_hosts + relay_set.nnz
         self.seg = np.full((n_paths, self.MAX_LEN), NO_SEGMENT, dtype=np.int32)
         self.offset = np.zeros((n_paths, self.MAX_LEN), dtype=np.float64)
         self.prop_total = np.zeros(n_paths, dtype=np.float64)
@@ -96,38 +87,27 @@ class PathTable:
         return src * self.n_hosts + dst
 
     def relay_pid(self, src: int, relay: int, dst: int) -> int:
-        n = self.n_hosts
-        if self.relay_set is None:
-            return n * n + (src * n + relay) * n + dst
-        return n * n + int(self.relay_set.positions(src, relay, dst))
+        return self.n_hosts * self.n_hosts + int(self.relay_set.positions(src, relay, dst))
 
     def direct_pids(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         return np.asarray(src) * self.n_hosts + np.asarray(dst)
 
-    def relay_pids(
-        self, src: np.ndarray, relay: np.ndarray, dst: np.ndarray
-    ) -> np.ndarray:
-        n = self.n_hosts
-        if self.relay_set is None:
-            return n * n + (np.asarray(src) * n + np.asarray(relay)) * n + np.asarray(dst)
-        return n * n + self.relay_set.positions(src, relay, dst)
+    def relay_pids(self, src: np.ndarray, relay: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        return self.n_hosts * self.n_hosts + self.relay_set.positions(src, relay, dst)
 
     def _relay_endpoints(self, pids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decode (src, dst) for relay-path ids (``pid >= n^2``)."""
         n = self.n_hosts
         rem = np.asarray(pids, dtype=np.int64) - n * n
-        if self.relay_set is None:
-            return rem // (n * n), rem % n
         pair = np.searchsorted(self.relay_set.offsets, rem, side="right") - 1
         return pair // n, pair % n
 
     def _check_relay_rows(self, pids: np.ndarray, relay_host: np.ndarray) -> None:
         """Reject degenerate relays at construction time (not select time).
 
-        Historically ``set_paths*`` accepted a relay equal to src or dst
-        and the selector masked the row late with ``+inf``; a sparse
-        candidate set must never contain such a row, so both layouts now
-        validate here and name the offender.
+        A candidate set never lists a relay equal to src or dst, so the
+        row a relay pid names must not hold one either; this names the
+        offender.
         """
         pids = np.asarray(pids, dtype=np.int64)
         relay_host = np.asarray(relay_host)
@@ -205,7 +185,9 @@ class PathTable:
         if forward_after is not None and not 0 <= forward_after < k:
             raise ValueError(f"forward_after {forward_after} outside path of {k} segments")
         forward_loss = np.broadcast_to(np.asarray(forward_loss, dtype=np.float64), pids.shape)
-        relay_host = np.broadcast_to(np.asarray(relay_host, dtype=self.relay_host.dtype), pids.shape)
+        relay_host = np.broadcast_to(
+            np.asarray(relay_host, dtype=self.relay_host.dtype), pids.shape
+        )
         self._check_relay_rows(pids, relay_host)
         for lo in range(0, len(pids), self.BATCH_CHUNK):
             hi = min(lo + self.BATCH_CHUNK, len(pids))
@@ -245,8 +227,11 @@ class Topology:
     #: per-ordered-pair chronic middle loss (0 for healthy pairs).
     chronic_loss: np.ndarray
     config: NetworkConfig
-    #: compiled relay candidate set (None = dense all-relays layout).
-    relay_set: RelaySet | None = None
+    #: compiled relay candidate set (policy ``all`` when none was asked for).
+    relay_set: RelaySet
+    #: the relay policy the network was built with (None when none was
+    #: asked for); part of a run's identity.
+    relay_policy: RelayPolicySpec | None
 
     @property
     def n_hosts(self) -> int:
@@ -286,13 +271,12 @@ def build_topology(
 ) -> Topology:
     """Construct segments and the path table for a host catalogue.
 
-    With ``relay_policy=None`` every relay path is materialized (the
-    dense O(N^3) reference).  With a policy, a
-    :class:`~repro.relaysets.RelaySet` is compiled once and only the
-    candidate relay paths are assembled — the segment construction and
-    every RNG draw (circuitous stretches, chronic pair loss) are
-    identical either way, so the same pair sees the same weather under
-    any policy.
+    ``relay_policy`` is compiled once into a
+    :class:`~repro.relaysets.RelaySet` and only its candidate relay
+    paths are assembled; ``None`` compiles policy ``all``, every third
+    host, as in the paper.  The segment construction and every RNG draw
+    (circuitous stretches, chronic pair loss) are identical under any
+    policy, so the same pair sees the same weather.
     """
     if len(hosts) < 3:
         raise ValueError("an overlay needs at least 3 hosts (for one-hop routing)")
@@ -386,9 +370,7 @@ def build_topology(
                     config.circuitous_stretch_min, config.circuitous_stretch_max
                 )
             pair_prop = (
-                propagation_delay_s(
-                    haversine_km(hs.lat, hs.lon, hd.lat, hd.lon), stretch
-                )
+                propagation_delay_s(haversine_km(hs.lat, hs.lon, hd.lat, hd.lon), stretch)
                 * circuitous[s, d]
             )
             fixed = (
@@ -443,27 +425,23 @@ def build_topology(
         dtype=np.float64,
     )
 
-    relay_set = None
-    if relay_policy is not None:
-        # static direct-path propagation distances feed k_nearest; the
-        # compile is a pure function of (policy, regions, distances)
-        mid_prop = np.where(
-            middle_sid == NO_SEGMENT, 0.0, seg_prop[middle_sid]
-        )
-        acc_out_prop = seg_prop[acc_out_sid]
-        acc_in_prop = seg_prop[acc_in_sid]
-        isp_prop = seg_prop[isp_sid]
-        dist = (
-            (acc_out_prop + isp_prop)[:, None]
-            + seg_prop[trunk_sid][region_idx[:, None], region_idx[None, :]]
-            + mid_prop
-            + (isp_prop + acc_in_prop)[None, :]
-        )
-        np.fill_diagonal(dist, 0.0)
-        relay_set = compile_relay_set(
-            relay_policy, n, regions=region_idx, distances=dist
-        )
-    paths = PathTable(n, relay_set=relay_set)
+    # static direct-path propagation distances feed k_nearest; the
+    # compile is a pure function of (policy, regions, distances)
+    mid_prop = np.where(middle_sid == NO_SEGMENT, 0.0, seg_prop[middle_sid])
+    acc_out_prop = seg_prop[acc_out_sid]
+    acc_in_prop = seg_prop[acc_in_sid]
+    isp_prop = seg_prop[isp_sid]
+    dist = (
+        (acc_out_prop + isp_prop)[:, None]
+        + seg_prop[trunk_sid][region_idx[:, None], region_idx[None, :]]
+        + mid_prop
+        + (isp_prop + acc_in_prop)[None, :]
+    )
+    np.fill_diagonal(dist, 0.0)
+    relay_set = compile_relay_set(
+        relay_policy or RelayPolicySpec(), n, regions=region_idx, distances=dist
+    )
+    paths = PathTable(n, relay_set)
 
     idx = np.arange(n)
     S, D = (a.ravel() for a in np.meshgrid(idx, idx, indexing="ij"))
@@ -482,19 +460,14 @@ def build_topology(
     )
     paths.set_paths_batch(paths.direct_pids(S, D), direct_segs, seg_prop)
 
-    if relay_set is None:
-        S, R, D = (a.ravel() for a in np.meshgrid(idx, idx, idx, indexing="ij"))
-        keep = (S != R) & (S != D) & (R != D)
-        S, R, D = S[keep], R[keep], D[keep]
-        pids = paths.relay_pids(S, R, D)
-    else:
-        # CSR-driven assembly: one row per candidate, never the n^3 grid
-        pair = np.repeat(np.arange(n * n, dtype=np.int64), relay_set.counts)
-        S, D = pair // n, pair % n
-        R = relay_set.relay_ids.astype(np.int64)
-        pids = n * n + np.arange(relay_set.nnz, dtype=np.int64)
-    for lo in range(0, len(pids), 4 * PathTable.BATCH_CHUNK):
-        hi = min(lo + 4 * PathTable.BATCH_CHUNK, len(pids))
+    # CSR-driven assembly: one row per candidate, in pid order, stacked
+    # one batch chunk at a time so the segment stack stays chunk-sized
+    pair = np.repeat(np.arange(n * n, dtype=np.int64), relay_set.counts)
+    S, D = pair // n, pair % n
+    R = relay_set.relay_ids.astype(np.int64)
+    pids = n * n + np.arange(relay_set.nnz, dtype=np.int64)
+    for lo in range(0, len(pids), PathTable.BATCH_CHUNK):
+        hi = min(lo + PathTable.BATCH_CHUNK, len(pids))
         s, r, d = S[lo:hi], R[lo:hi], D[lo:hi]
         relay_segs = np.stack(
             [
@@ -532,4 +505,5 @@ def build_topology(
         chronic_loss=chronic_loss,
         config=config,
         relay_set=relay_set,
+        relay_policy=relay_policy,
     )

@@ -1,12 +1,14 @@
-"""Sparse per-(src, dst) relay candidate sets.
+"""Per-(src, dst) relay candidate sets: the path table's one layout.
 
-The paper's overlay lets *every* third host relay for every pair — an
-O(N³) path table and O(G·n³) selector tensors that cap dense runs near
-100 hosts no matter how well they are sharded or spilled.  Interdomain
-measurements (BGP multipath, path-diversity surveys) show that real
-path diversity at thousands of vantage points is served by a *small*
-per-pair candidate set, so this module makes the candidate set a
-first-class, pluggable object:
+Every network compiles one.  The paper's overlay lets *every* third
+host relay for every pair — policy ``all``, which a network built
+without a policy compiles — at the cost of O(N³) relay paths and
+O(G·n³) selector tensors, which caps such runs near 100 hosts no matter
+how well they are sharded or spilled.  Interdomain measurements (BGP
+multipath, path-diversity surveys) show that real path diversity at
+thousands of vantage points is served by a *small* per-pair candidate
+set, so this module makes the candidate set a first-class, pluggable
+object:
 
 * :class:`RelayPolicySpec` — a frozen, serializable description of how
   candidates are chosen (``all`` / ``region`` / ``k_nearest`` /
@@ -38,7 +40,7 @@ from repro.trace.records import id_dtype
 
 __all__ = ["RELAY_POLICIES", "RelayPolicySpec", "RelaySet", "compile_relay_set"]
 
-#: the policy catalogue; ``all`` is the dense reference.
+#: the policy catalogue; ``all`` is the paper's overlay and the default.
 RELAY_POLICIES = ("all", "region", "k_nearest", "random_k")
 
 #: policies that take a per-pair candidate budget ``k``.
@@ -54,8 +56,8 @@ class RelayPolicySpec:
     """How per-pair relay candidates are chosen. Frozen and serializable.
 
     ``policy``:
-        ``"all"``       — every third host (the dense reference; sparse
-        layout, identical routing decisions);
+        ``"all"``       — every third host (the paper's overlay, and
+        what a network built without a policy compiles);
         ``"region"``    — hosts in either endpoint's region plus a
         seeded shared ``backbone`` sample;
         ``"k_nearest"`` — the ``k`` relays with the lowest static
@@ -79,9 +81,7 @@ class RelayPolicySpec:
 
     def __post_init__(self) -> None:
         if self.policy not in RELAY_POLICIES:
-            raise ValueError(
-                f"unknown relay policy {self.policy!r}; choose from {RELAY_POLICIES}"
-            )
+            raise ValueError(f"unknown relay policy {self.policy!r}; choose from {RELAY_POLICIES}")
         if self.policy in _K_POLICIES:
             if self.k is None or not isinstance(self.k, int) or self.k < 1:
                 raise ValueError(f"policy {self.policy!r} needs an integer k >= 1")
@@ -185,9 +185,7 @@ class RelaySet:
         offsets = np.ascontiguousarray(self.offsets, dtype=np.int64)
         relay_ids = np.ascontiguousarray(self.relay_ids, dtype=id_dtype(n))
         if offsets.shape != (n * n + 1,):
-            raise ValueError(
-                f"offsets must have shape ({n * n + 1},), got {offsets.shape}"
-            )
+            raise ValueError(f"offsets must have shape ({n * n + 1},), got {offsets.shape}")
         if offsets[0] != 0 or offsets[-1] != len(relay_ids):
             raise ValueError("offsets must start at 0 and end at len(relay_ids)")
         counts = np.diff(offsets)
@@ -236,11 +234,14 @@ class RelaySet:
 
     @property
     def is_complete(self) -> bool:
-        """True when every off-diagonal pair lists all ``n - 2`` relays."""
+        """True when every off-diagonal pair lists all ``n - 2`` relays.
+
+        Construction rejects out-of-range, endpoint, duplicate and
+        diagonal entries, so no pair holds more than ``n - 2``
+        candidates and the total count decides completeness.
+        """
         n = self.n_hosts
-        counts = self._counts.reshape(n, n)
-        off_diag = ~np.eye(n, dtype=bool)
-        return bool((counts[off_diag] == max(n - 2, 0)).all())
+        return self.nnz == n * (n - 1) * max(n - 2, 0)
 
     def fingerprint(self) -> str:
         """sha256 over the canonical layout (dtype-independent)."""
@@ -395,9 +396,7 @@ def _keys_k_nearest(spec: RelayPolicySpec, n: int, distances: np.ndarray) -> np.
         take = less | (eq & (np.cumsum(eq, axis=1) <= (kk - n_less)[:, None, :]))
         take[np.arange(w), :, src] = False  # diagonal pair s == d
         si, ri, di = np.nonzero(take)
-        keys.append(
-            (((src[si] * n + di) * n + ri)).astype(np.int64)
-        )
+        keys.append(((src[si] * n + di) * n + ri).astype(np.int64))
     return np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
 
 
@@ -475,10 +474,13 @@ def compile_relay_set(
     else:  # random_k
         keys = _keys_random_k(spec, n)
 
-    # symmetrize: key (s*n + d)*n + r  <->  (d*n + s)*n + r
+    # symmetrize: key (s*n + d)*n + r  <->  (d*n + s)*n + r.  One sort
+    # of both halves and a dedupe give their sorted unique union (NumPy's
+    # hash-based unique made the n = 100 "all" compile 8x slower)
     pair, relay = keys // n, keys % n
     rev = ((pair % n) * n + pair // n) * n + relay
-    keys = np.union1d(keys, rev)
+    keys = np.sort(np.concatenate((keys, rev)))
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0
 
     pair = keys // n
     counts = np.bincount(pair, minlength=n * n)

@@ -80,17 +80,16 @@ class Scenario:
         the probe catalogue and probing mode, as in any dataset.
     relay_policy:
         optional :class:`repro.relaysets.RelayPolicySpec` compiled into
-        the dataset — sparse relay candidate sets for interdomain-scale
-        topologies; ``None`` keeps the dense all-relays mesh.
+        the dataset — restrictive relay candidate sets for
+        interdomain-scale topologies; ``None`` lets every third host
+        relay (policy ``all``).
     """
 
     name: str
     topology: TopologyFamily
     pathologies: tuple[Pathology, ...] = ()
     base: str = "2003"
-    probe_methods: tuple[str, ...] = field(
-        default_factory=lambda: tuple(RON2003_PROBE_METHODS)
-    )
+    probe_methods: tuple[str, ...] = field(default_factory=lambda: tuple(RON2003_PROBE_METHODS))
     mode: str = "oneway"
     paper_duration_s: float = DAY
     relay_policy: RelayPolicySpec | None = None

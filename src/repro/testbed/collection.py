@@ -230,7 +230,7 @@ def prepare_collection_base(
             relay_policy=spec.relay_policy,
         )
     else:
-        built = network.relay_set.spec if network.relay_set is not None else None
+        built = network.topology.relay_policy
         if built != spec.relay_policy:
             raise ValueError(
                 f"prebuilt network was built with relay policy {built!r}, "
@@ -350,9 +350,7 @@ def _collect_rows(plan: CollectionPlan, host_lo: int, host_hi: int) -> Trace:
             src = sched.src[blo:bhi][mask]
             dst = sched.dst[blo:bhi][mask]
             times = sched.t_send[blo:bhi][mask]
-            routes = resolve_routes(
-                m, src, dst, times, network.paths, plan.tables, route_rng
-            )
+            routes = resolve_routes(m, src, dst, times, network.paths, plan.tables, route_rng)
             if mode == "oneway":
                 l1, la1, l2, la2 = _eval_oneway(
                     network, m, routes.pid1, routes.pid2, times, traffic_rng

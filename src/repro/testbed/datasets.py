@@ -57,8 +57,8 @@ class DatasetSpec:
     paper_duration_s: float
     paper_samples: int
     events_fn: Callable[[float], tuple[MajorEvent, ...]] | None = None
-    #: relay candidate-set policy; ``None`` keeps the dense all-relays
-    #: path table (and the byte-identical committed goldens).
+    #: relay candidate-set policy; ``None`` lets every third host relay
+    #: (policy ``all``) and keeps the byte-identical committed goldens.
     relay_policy: RelayPolicySpec | None = None
 
     def __post_init__(self) -> None:

@@ -103,8 +103,8 @@ class Overlay:
         self.params = params or network.topology.config.probing
         self.loop = EventLoop()
         self.n = network.topology.n_hosts
-        #: relay candidate sets, inherited from the network's path table;
-        #: None means the dense all-relays overlay.
+        #: relay candidate sets, inherited from the network's path table
+        #: (every third host under policy ``all``, the paper's overlay).
         self.relay_set = network.paths.relay_set
         self.nodes = [OverlayNode(i, self.n, self.params) for i in range(self.n)]
         self._rngs = RngFactory(seed)
@@ -159,18 +159,12 @@ class Overlay:
         self.probes_sent += 1
         if now >= self.network.horizon:
             # beyond simulated weather: quiet network
-            return False, self.network.paths.prop_total[
-                self.network.paths.direct_pid(src, dst)
-            ]
-        down = self.network.state.host_down_at(
-            np.array([src, dst]), np.array([now, now])
-        ).any()
+            return False, self.network.paths.prop_total[self.network.paths.direct_pid(src, dst)]
+        down = self.network.state.host_down_at(np.array([src, dst]), np.array([now, now])).any()
         if down:
             return True, None
         pid = self.network.paths.direct_pid(src, dst)
-        out = self.network.sample_packets(
-            np.array([pid]), np.array([now]), rng=self._probe_rng
-        )
+        out = self.network.sample_packets(np.array([pid]), np.array([now]), rng=self._probe_rng)
         if bool(out.lost[0]):
             return True, None
         return False, float(out.latency[0])
@@ -218,9 +212,7 @@ class Overlay:
         relay1 = self._resolve(m.first, src, dst)
         pid1 = self._pid(src, dst, relay1)
         if not m.is_pair:
-            out = self.network.sample_packets(
-                np.array([pid1]), np.array([now]), rng=self._data_rng
-            )
+            out = self.network.sample_packets(np.array([pid1]), np.array([now]), rng=self._data_rng)
             res = _DataOutcome(
                 now, src, dst, m.name, (relay1,), bool(out.lost[0]),
                 None if out.lost[0] else float(out.latency[0]),
@@ -253,11 +245,6 @@ class Overlay:
         if kind == RouteKind.DIRECT:
             return DIRECT
         if kind == RouteKind.RAND:
-            if self.relay_set is None:
-                while True:
-                    r = int(self._data_rng.integers(0, self.n))
-                    if r not in (src, dst) and (avoid is None or r != avoid):
-                        return r
             cand = self.relay_set.candidates(src, dst)
             if len(cand) < (2 if avoid is not None else 1):
                 raise ValueError(

@@ -6,6 +6,7 @@ import pytest
 
 from repro.netsim import RngFactory, config_2003
 from repro.netsim.topology import PathTable, build_topology
+from repro.relaysets import RelayPolicySpec, compile_relay_set
 from repro.scenarios import ScaledMesh
 
 from ..conftest import tiny_hosts
@@ -27,15 +28,31 @@ def seg_prop(segs):
     return np.array([s.prop_delay_s for s in segs])
 
 
+def table(n):
+    return PathTable(n, compile_relay_set(RelayPolicySpec(), n))
+
+
+#: the path table's per-row arrays
+FIELDS = (
+    "seg",
+    "offset",
+    "prop_total",
+    "forward_loss",
+    "forward_delay",
+    "relay_host",
+    "valid",
+)
+
+
 def test_batch_matches_scalar_direct(segs):
     rng = np.random.default_rng(7)
     rows = rng.integers(0, len(segs), size=(50, 6))
-    a, b = PathTable(8), PathTable(8)
+    a, b = table(8), table(8)
     pids = np.arange(50)
     for pid, row in zip(pids, rows):
         a.set_path(int(pid), [segs[i] for i in row])
     b.set_paths_batch(pids, rows, seg_prop(segs))
-    for name in ("seg", "offset", "prop_total", "forward_loss", "forward_delay", "relay_host", "valid"):
+    for name in FIELDS:
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
 
 
@@ -43,7 +60,7 @@ def test_batch_matches_scalar_relay_with_forwarding(segs):
     rng = np.random.default_rng(11)
     rows = rng.integers(0, len(segs), size=(64, 11))
     fwd_loss = rng.uniform(0.0, 0.05, 64)
-    a, b = PathTable(8), PathTable(8)
+    a, b = table(8), table(8)
     # relay rows now validate relay_host against the pid's decoded
     # (src, dst) endpoints, so write canonical non-degenerate triples
     triples = [
@@ -73,7 +90,7 @@ def test_batch_matches_scalar_relay_with_forwarding(segs):
         relay_host=relays,
         forward_after=5,
     )
-    for name in ("seg", "offset", "prop_total", "forward_loss", "forward_delay", "relay_host", "valid"):
+    for name in FIELDS:
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
 
 
@@ -81,7 +98,7 @@ def test_batch_chunking_is_invisible(segs, monkeypatch):
     rng = np.random.default_rng(13)
     rows = rng.integers(0, len(segs), size=(40, 6))
     pids = np.arange(40)
-    a, b = PathTable(7), PathTable(7)
+    a, b = table(7), table(7)
     a.set_paths_batch(pids, rows, seg_prop(segs))
     monkeypatch.setattr(PathTable, "BATCH_CHUNK", 7)
     b.set_paths_batch(pids, rows, seg_prop(segs))
@@ -90,15 +107,13 @@ def test_batch_chunking_is_invisible(segs, monkeypatch):
 
 
 def test_batch_validation(segs):
-    t = PathTable(4)
+    t = table(4)
     with pytest.raises(ValueError, match="MAX_LEN"):
         t.set_paths_batch(np.arange(2), np.zeros((2, 12), int), seg_prop(segs))
     with pytest.raises(ValueError, match="matching pids"):
         t.set_paths_batch(np.arange(3), np.zeros((2, 6), int), seg_prop(segs))
     with pytest.raises(ValueError, match="forward_after"):
-        t.set_paths_batch(
-            np.arange(2), np.zeros((2, 6), int), seg_prop(segs), forward_after=6
-        )
+        t.set_paths_batch(np.arange(2), np.zeros((2, 6), int), seg_prop(segs), forward_after=6)
 
 
 def test_built_mesh_path_table_shape():

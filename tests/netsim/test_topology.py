@@ -84,8 +84,10 @@ class TestPathTable:
     def test_degenerate_paths_invalid(self, topo):
         p = topo.paths
         assert not p.valid[p.direct_pid(1, 1)]
-        assert not p.valid[p.relay_pid(0, 0, 1)]
-        assert not p.valid[p.relay_pid(0, 1, 1)]
+        # no relay row exists for a relay equal to an endpoint
+        for s, r, d in [(0, 0, 1), (0, 1, 1), (1, 1, 1)]:
+            with pytest.raises(ValueError, match="not a candidate"):
+                p.relay_pid(s, r, d)
 
     def test_all_proper_paths_valid(self, topo):
         p = topo.paths
@@ -126,9 +128,7 @@ class TestPairAnnotations:
         if len(chronic) == 0:
             pytest.skip("no chronic pairs drawn in this tiny topology")
         s, d = chronic[0]
-        seg = topo.registry.by_name(
-            f"mid:{topo.hosts[s].name}:{topo.hosts[d].name}"
-        )
+        seg = topo.registry.by_name(f"mid:{topo.hosts[s].name}:{topo.hosts[d].name}")
         assert seg.base_loss > topo.config.middle.base_loss
 
     def test_circuitous_factor_bounds(self, topo):

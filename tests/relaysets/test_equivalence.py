@@ -1,11 +1,14 @@
-"""The dense-vs-sparse equivalence gate (ISSUE 10 tentpole).
+"""The relay-policy equivalence gate.
 
-Policy ``all`` must be a pure *layout* change: the candidate-set path
-table, selector and router produce bitwise-identical routing tables and
-traces — including the committed golden fingerprints, exercised here
-through the sparse code path without regenerating the golden file.
-Restrictive policies (``k_nearest``) then run the same pipeline end to
-end with every routed relay provably inside its pair's candidate set.
+A network built without a relay policy compiles policy ``all``, so
+asking for ``all`` must change nothing but the run's identity: the
+path table, selector and router produce bitwise-identical routing
+tables and traces — including the committed golden fingerprints,
+reproduced here without regenerating the golden file.  The selector's
+two builders (broadcast slices for complete sets, gathers for any
+other) are cross-checked on the same complete set.  Restrictive
+policies (``k_nearest``) then run the same pipeline end to end with
+every routed relay provably inside its pair's candidate set.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.selector import DIRECT, select_paths_batch, select_paths_block
+from repro.core.selector import DIRECT, _select_block_sparse, select_paths_batch, select_paths_block
 from repro.engine.spill import run_slug
 from repro.netsim import Network, config_2003
 from repro.relaysets import RelayPolicySpec, compile_relay_set
@@ -38,7 +41,8 @@ GOLDEN_PATH = Path(__file__).resolve().parents[1] / "integration" / "golden_trac
 
 @pytest.fixture(scope="module")
 def dense_sparse():
-    """One ronnarrow run per layout, same duration and seed."""
+    """One ronnarrow run without a relay policy and one asking for
+    ``all``, same duration and seed."""
     ds = dataset("ronnarrow")
     sparse_ds = dataclasses.replace(ds, relay_policy=ALL)
     dense = collect(ds, DURATION, seed=SEED)
@@ -46,13 +50,20 @@ def dense_sparse():
     return ds, sparse_ds, dense, sparse
 
 
+def test_no_policy_compiles_a_complete_set():
+    hosts = tiny_hosts()
+    net = Network.build(hosts, config_2003(), horizon=600.0, seed=11, relay_policy=None)
+    assert net.relay_set.is_complete and net.relay_set.spec == ALL
+    assert net.topology.relay_policy is None
+    asked = Network.build(hosts, config_2003(), horizon=600.0, seed=11, relay_policy=ALL)
+    assert asked.topology.relay_policy == ALL
+
+
 def test_topology_rows_bitwise_identical():
     hosts = tiny_hosts()
     n = len(hosts)
     dense = Network.build(hosts, config_2003(), horizon=600.0, seed=11)
-    sparse = Network.build(
-        hosts, config_2003(), horizon=600.0, seed=11, relay_policy=ALL
-    )
+    sparse = Network.build(hosts, config_2003(), horizon=600.0, seed=11, relay_policy=ALL)
     a, b = dense.paths, sparse.paths
     assert b.relay_set is not None and b.relay_set.is_complete
     # sparse materializes exactly direct + candidate rows
@@ -84,21 +95,19 @@ def test_topology_rows_bitwise_identical():
         "relay_host",
         "valid",
     ):
-        np.testing.assert_array_equal(
-            getattr(a, name)[pa], getattr(b, name)[pb], err_msg=name
-        )
+        np.testing.assert_array_equal(getattr(a, name)[pa], getattr(b, name)[pb], err_msg=name)
 
 
 def test_selector_tables_bitwise_identical():
+    """The gather builder on a complete set equals the broadcast builder."""
     g, n = 4, 12
     rng = np.random.default_rng(2)
     loss = rng.uniform(0.0, 0.4, size=(g, n, n))
     lat = rng.uniform(0.01, 0.3, size=(g, n, n))
     lat[rng.random((g, n, n)) < 0.05] = np.inf  # never-probed legs
     failed = rng.random((g, n, n)) < 0.1
-    rs = compile_relay_set(ALL, n)
-    d = select_paths_batch(loss, lat, failed)
-    s = select_paths_batch(loss, lat, failed, relay_set=rs)
+    d = select_paths_batch(loss, lat, failed, 0.005)
+    s = _select_block_sparse(loss, lat, failed, 0, n, 0.005, compile_relay_set(ALL, n))
     for name in ("loss_best", "loss_second", "lat_best", "lat_second"):
         got, want = getattr(s, name), getattr(d, name)
         assert got.dtype == want.dtype, name
@@ -124,9 +133,8 @@ def quantised_estimates(g, n, seed):
 def test_selector_tables_bitwise_identical_on_ties(margin):
     g, n = 6, 12
     loss, lat, failed = quantised_estimates(g, n, seed=3)
-    rs = compile_relay_set(ALL, n)
     d = select_paths_batch(loss, lat, failed, margin)
-    s = select_paths_batch(loss, lat, failed, margin, relay_set=rs)
+    s = _select_block_sparse(loss, lat, failed, 0, n, margin, compile_relay_set(ALL, n))
     for name in TABLE_NAMES:
         np.testing.assert_array_equal(getattr(s, name), getattr(d, name), err_msg=name)
 
@@ -134,8 +142,8 @@ def test_selector_tables_bitwise_identical_on_ties(margin):
 @pytest.mark.parametrize("policy", [None, "all", "k_nearest"])
 def test_block_rows_equal_full_tables(policy):
     """``select_paths_block`` over any source range is those rows of the
-    full-mesh tables, in the dense and the candidate-set layout (whose
-    padded width ``k`` follows the range)."""
+    full-mesh tables, with every host a candidate and with a candidate
+    set (whose padded width ``k`` follows the range)."""
     g, n = 4, 12
     loss, lat, failed = quantised_estimates(g, n, seed=4)
     rng = np.random.default_rng(5)
@@ -172,9 +180,7 @@ def test_collect_trace_and_tables_bitwise_identical(dense_sparse):
 def test_run_slug_distinguishes_sparse_from_dense(dense_sparse):
     ds, sparse_ds, dense, sparse = dense_sparse
     plan_d = prepare_collection(ds, DURATION, seed=SEED, network=dense.network)
-    plan_s = prepare_collection(
-        sparse_ds, DURATION, seed=SEED, network=sparse.network
-    )
+    plan_s = prepare_collection(sparse_ds, DURATION, seed=SEED, network=sparse.network)
     slug_d, slug_s = run_slug(plan_d), run_slug(plan_s)
     assert slug_d != slug_s  # sparse and dense runs cannot clobber each other
     assert slug_d.startswith("RONnarrow-seed") and slug_s.startswith("RONnarrow-seed")

@@ -20,18 +20,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro import relaysets
 from repro.relaysets import RelayPolicySpec, compile_relay_set
 
 ns = st.integers(min_value=3, max_value=12)
 
 
 @st.composite
-def specs(draw):
+def specs(draw, ks=st.integers(min_value=1, max_value=6)):
     policy = draw(st.sampled_from(["all", "region", "k_nearest", "random_k"]))
     if policy in ("k_nearest", "random_k"):
         return RelayPolicySpec(
             policy=policy,
-            k=draw(st.integers(min_value=1, max_value=6)),
+            k=draw(ks),
             seed=draw(st.integers(min_value=0, max_value=5)),
         )
     if policy == "region":
@@ -43,12 +44,17 @@ def specs(draw):
     return RelayPolicySpec()
 
 
-def compile_for(spec: RelayPolicySpec, n: int, salt: int = 0):
-    """Compile with deterministic synthetic regions/distances."""
+def topology_inputs(n: int, salt: int = 0):
+    """Deterministic synthetic per-host regions and distances."""
     rng = np.random.default_rng(salt)
     pos = rng.uniform(0.0, 1.0, size=(n, 2))
     dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-    regions = np.arange(n) % min(3, n)
+    return np.arange(n) % min(3, n), dist
+
+
+def compile_for(spec: RelayPolicySpec, n: int, salt: int = 0):
+    """Compile with deterministic synthetic regions/distances."""
+    regions, dist = topology_inputs(n, salt)
     return compile_relay_set(spec, n, regions=regions, distances=dist)
 
 
@@ -72,6 +78,43 @@ def test_csr_invariants(spec, n, salt):
     # symmetry: C(s, d) == C(d, s)
     rev = (dst * n + src) * n + ids
     np.testing.assert_array_equal(np.sort(rev), keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=specs(ks=st.integers(min_value=1, max_value=12)),
+    n=st.integers(min_value=1, max_value=30),
+    salt=st.integers(min_value=0, max_value=3),
+)
+def test_symmetrized_keys_equal_union1d(spec, n, salt):
+    """The compiler's sort-and-dedupe symmetrization gives exactly the
+    layout of the policy's choices united with their reverses by
+    ``np.union1d``."""
+    regions, dist = topology_inputs(n, salt)
+    raw = {
+        "all": lambda: relaysets._keys_all(n),
+        "region": lambda: relaysets._keys_region(spec, n, regions),
+        "k_nearest": lambda: relaysets._keys_k_nearest(spec, n, dist),
+        "random_k": lambda: relaysets._keys_random_k(spec, n),
+    }[spec.policy]()
+    pair, relay = raw // n, raw % n
+    keys = np.union1d(raw, ((pair % n) * n + pair // n) * n + relay)
+    counts = np.bincount(keys // n, minlength=n * n)
+    rs = compile_relay_set(spec, n, regions=regions, distances=dist)
+    np.testing.assert_array_equal(rs.offsets, np.concatenate([[0], np.cumsum(counts)]))
+    np.testing.assert_array_equal(rs.relay_ids, keys % n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    spec=specs(ks=st.integers(min_value=1, max_value=40)),
+    n=st.integers(min_value=1, max_value=40),
+)
+def test_is_complete_matches_per_pair_counts(spec, n):
+    rs = compile_for(spec, n)
+    counts = np.diff(rs.offsets).reshape(n, n)
+    per_pair = bool((counts[~np.eye(n, dtype=bool)] == max(n - 2, 0)).all())
+    assert rs.is_complete == per_pair
 
 
 @settings(max_examples=25, deadline=None)

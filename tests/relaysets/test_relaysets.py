@@ -95,9 +95,7 @@ class TestCompile:
     def test_k_nearest_contains_the_forward_choice(self):
         n, k = 10, 3
         dist = _distances(n, seed=4)
-        rs = compile_relay_set(
-            RelayPolicySpec(policy="k_nearest", k=k), n, distances=dist
-        )
+        rs = compile_relay_set(RelayPolicySpec(policy="k_nearest", k=k), n, distances=dist)
         for s in range(n):
             for d in range(n):
                 if s == d:
@@ -118,9 +116,7 @@ class TestCompile:
     def test_region_candidates_stay_in_endpoint_regions(self):
         n = 9
         regions = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])
-        rs = compile_relay_set(
-            RelayPolicySpec(policy="region"), n, regions=regions
-        )
+        rs = compile_relay_set(RelayPolicySpec(policy="region"), n, regions=regions)
         for s in range(n):
             for d in range(n):
                 for r in rs.candidates(s, d).tolist():
@@ -130,9 +126,7 @@ class TestCompile:
         n = 9
         regions = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2])
         plain = compile_relay_set(RelayPolicySpec(policy="region"), n, regions=regions)
-        wide = compile_relay_set(
-            RelayPolicySpec(policy="region", backbone=n), n, regions=regions
-        )
+        wide = compile_relay_set(RelayPolicySpec(policy="region", backbone=n), n, regions=regions)
         # a full backbone makes every host a candidate everywhere
         assert wide.is_complete and not plain.is_complete
         assert wide.nnz > plain.nnz
@@ -150,9 +144,7 @@ class TestCompile:
         counts = a.counts.reshape(n, n)
         off = ~np.eye(n, dtype=bool)
         assert (counts[off] >= k).all() and (counts[off] <= 2 * k).all()
-        other = compile_relay_set(
-            RelayPolicySpec(policy="random_k", k=k, seed=4), n
-        )
+        other = compile_relay_set(RelayPolicySpec(policy="random_k", k=k, seed=4), n)
         assert other.fingerprint() != a.fingerprint()
 
     @pytest.mark.parametrize("policy", RELAY_POLICIES)
@@ -222,9 +214,7 @@ class TestRelaySetInvariants:
         counts[3 * n + 2] = 1
         offsets = np.concatenate([[0], np.cumsum(counts)])
         with pytest.raises(ValueError, match="symmetric"):
-            RelaySet(
-                n, RelayPolicySpec(), offsets, np.array([2, 3, 2, 1, 1])
-            )
+            RelaySet(n, RelayPolicySpec(), offsets, np.array([2, 3, 2, 1, 1]))
 
     def test_diagonal_pair_candidates_rejected(self):
         n = 4
@@ -255,21 +245,15 @@ class TestLookups:
             rs.positions(np.array([2]), np.array([2]), np.array([3]))
 
     def test_contains_matches_candidate_lists(self):
-        rs = compile_relay_set(
-            RelayPolicySpec(policy="random_k", k=2, seed=1), 8
-        )
+        rs = compile_relay_set(RelayPolicySpec(policy="random_k", k=2, seed=1), 8)
         for s in range(8):
             for d in range(8):
                 cand = set(rs.candidates(s, d).tolist())
-                got = rs.contains(
-                    np.full(8, s), np.arange(8), np.full(8, d)
-                )
+                got = rs.contains(np.full(8, s), np.arange(8), np.full(8, d))
                 assert set(np.nonzero(got)[0].tolist()) == cand
 
     def test_padded_block_matches_candidates(self):
-        rs = compile_relay_set(
-            RelayPolicySpec(policy="random_k", k=3, seed=2), 9
-        )
+        rs = compile_relay_set(RelayPolicySpec(policy="random_k", k=3, seed=2), 9)
         block = rs.padded_block(2, 5)
         assert block.shape[0] == 3 and block.shape[1] == 9
         for i, s in enumerate(range(2, 5)):
@@ -294,9 +278,7 @@ class TestLookups:
 
     def test_fingerprint_distinguishes_specs(self):
         a = compile_relay_set(RelayPolicySpec(), 6)
-        b = compile_relay_set(
-            RelayPolicySpec(policy="random_k", k=4, seed=0), 6
-        )
+        b = compile_relay_set(RelayPolicySpec(policy="random_k", k=4, seed=0), 6)
         assert a.fingerprint() != b.fingerprint()
 
 
@@ -306,30 +288,30 @@ class FakeSeg:
         self.prop_delay_s = prop
 
 
+def every_host_table(n):
+    return PathTable(n, compile_relay_set(RelayPolicySpec(), n))
+
+
 class TestDegenerateRelayRows:
-    """Satellite bugfix: set_path/set_paths_batch validate relay_host
-    against the pid's decoded endpoints at construction time."""
+    """set_path/set_paths_batch validate relay_host against the pid's
+    decoded endpoints at construction time."""
 
     def test_scalar_set_path_names_offender(self):
-        t = PathTable(5)
+        t = every_host_table(5)
         pid = t.relay_pid(0, 2, 4)
-        with pytest.raises(
-            ValueError, match=r"degenerate relay path \(src=0, relay=0, dst=4\)"
-        ):
+        with pytest.raises(ValueError, match=r"degenerate relay path \(src=0, relay=0, dst=4\)"):
             t.set_path(pid, [FakeSeg(0)], relay_host=0)
 
     def test_scalar_set_path_rejects_relay_equal_dst(self):
-        t = PathTable(5)
+        t = every_host_table(5)
         pid = t.relay_pid(1, 2, 3)
         with pytest.raises(ValueError, match=r"relay=3, dst=3"):
             t.set_path(pid, [FakeSeg(0)], relay_host=3)
 
     def test_batch_names_offender(self):
-        t = PathTable(5)
-        pids = np.array([t.relay_pid(0, 2, 4), t.relay_pid(1, 1, 3)])
-        with pytest.raises(
-            ValueError, match=r"degenerate relay path \(src=1, relay=1, dst=3\)"
-        ):
+        t = every_host_table(5)
+        pids = np.array([t.relay_pid(0, 2, 4), t.relay_pid(1, 2, 3)])
+        with pytest.raises(ValueError, match=r"degenerate relay path \(src=1, relay=1, dst=3\)"):
             t.set_paths_batch(
                 pids,
                 np.zeros((2, 6), dtype=np.int64),
@@ -338,7 +320,7 @@ class TestDegenerateRelayRows:
             )
 
     def test_valid_relay_rows_pass(self):
-        t = PathTable(5)
+        t = every_host_table(5)
         t.set_path(t.relay_pid(0, 2, 4), [FakeSeg(0)], relay_host=2)
         assert t.valid[t.relay_pid(0, 2, 4)]
 
@@ -357,17 +339,13 @@ class TestDegenerateRelayRows:
         counts[0 * n + 1] = 1
         counts[1 * n + 0] = 1
         offsets = np.concatenate([[0], np.cumsum(counts)])
-        with pytest.raises(
-            ValueError, match=r"\(src=0, relay=0, dst=1\)"
-        ):
+        with pytest.raises(ValueError, match=r"\(src=0, relay=0, dst=1\)"):
             RelaySet(n, RelayPolicySpec(), offsets, np.array([0, 0]))
 
 
 class TestRandomCandidateRelays:
     def test_draws_stay_in_candidate_sets(self):
-        rs = compile_relay_set(
-            RelayPolicySpec(policy="random_k", k=3, seed=1), 10
-        )
+        rs = compile_relay_set(RelayPolicySpec(policy="random_k", k=3, seed=1), 10)
         rng = np.random.default_rng(5)
         src = np.repeat(np.arange(10), 9)
         dst = np.concatenate([np.delete(np.arange(10), s) for s in range(10)])
@@ -397,14 +375,10 @@ class TestRandomCandidateRelays:
     def test_too_few_candidates_named(self):
         rs = _tiny_set()  # pair (0,1) has {2, 3}; pair (2,3) has none
         rng = np.random.default_rng(1)
-        with pytest.raises(
-            ValueError, match=r"pair \(src=2, dst=3\) has only 0 relay"
-        ):
+        with pytest.raises(ValueError, match=r"pair \(src=2, dst=3\) has only 0 relay"):
             random_candidate_relays(rng, rs, np.array([2]), np.array([3]))
         # an exclusion needs two candidates; (0,1) has exactly two, so fine
-        got = random_candidate_relays(
-            rng, rs, np.array([0]), np.array([1]), exclude=np.array([2])
-        )
+        got = random_candidate_relays(rng, rs, np.array([0]), np.array([1]), exclude=np.array([2]))
         assert got.tolist() == [3]
 
     def test_endpoint_checks(self):
@@ -413,6 +387,4 @@ class TestRandomCandidateRelays:
         with pytest.raises(ValueError, match="must differ"):
             random_candidate_relays(rng, rs, np.array([1]), np.array([1]))
         with pytest.raises(ValueError, match="exclude"):
-            random_candidate_relays(
-                rng, rs, np.array([0]), np.array([1]), exclude=np.array([1])
-            )
+            random_candidate_relays(rng, rs, np.array([0]), np.array([1]), exclude=np.array([1]))
