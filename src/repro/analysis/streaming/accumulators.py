@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.trace.records import Trace, TraceMeta
+from repro.trace.records import Trace, TraceMeta, probe_order
 
 __all__ = [
     "Accumulator",
@@ -60,7 +60,7 @@ def _canonical(trace: Trace) -> Trace:
     """
     pid = trace.probe_id
     if len(pid) > 1 and not bool(np.all(pid[1:] >= pid[:-1])):
-        return trace.select(np.argsort(pid, kind="stable"))
+        return trace.select(probe_order(pid))
     return trace
 
 

@@ -92,8 +92,6 @@ class _Detail:
     p_out: np.ndarray
     lost_cong: np.ndarray  # (n, L) bool
     lost_out: np.ndarray
-    lost_base: np.ndarray
-    lost_fwd: np.ndarray  # (n,) bool
     lost: np.ndarray  # (n,) bool
     latency: np.ndarray  # (n,)
 
@@ -306,22 +304,40 @@ class Network:
         draws on segments both copies cross are conditioned on the first
         copy's outcome there.  The returned ``p_cong``/``p_out`` are the
         unconditioned severities either way.
+
+        Every draw keeps its shape and order, padding columns included:
+        ``random`` for congestion, outage and background loss (the three
+        planes ``rng.random((3,) + shape)`` would fill), ``random`` per
+        row for forwarding loss, then ``gamma`` jitter and ``uniform``
+        queueing.
+
+        Footprint rule: an unconditioned chunk peaks within 8 (rows x
+        path width) float64 planes, so each draw is consumed before the
+        next is made and the latency terms are built in place.  Under
+        the two-thread pool, peak RSS follows this per-chunk peak.
+        glibc serves arrays below its dynamic mmap threshold (raised to
+        about 10 MB by set-up) from the thread's arena, and returns the
+        arena's free top only once it reaches the trim threshold, about
+        twice that; a chunk peaking just short of it keeps its
+        high-water mark resident.
         """
         segs = self.paths.seg[pids]
-        t = times[:, None] + self.paths.offset[pids]
-        valid = segs >= 0
+        shape = segs.shape
+        t = self.paths.offset[pids]
+        t += times[:, None]
+        pad = segs < 0
         safe = np.clip(segs, 0, None)
 
         p_cong = self.state.congestion.severity_at(segs, t)
         p_out = self.state.outage.severity_at(segs, t)
-        p_base = np.where(valid, self.state.base_loss[safe], 0.0)
 
         p_cong_eff, p_out_eff = p_cong, p_out
         if first is not None:
             # which of this copy's segments also appear on the first's path?
-            match = (segs[:, :, None] == first.segs[:, None, :]) & valid[:, :, None]
-            shared = match.any(axis=2)
+            match = (segs[:, :, None] == first.segs[:, None, :]) & ~pad[:, :, None]
             k = match.argmax(axis=2)  # first matching column in the first's path
+            # argmax is 0 on an all-False row, where match[..., 0] is False
+            shared = np.take_along_axis(match, k[..., None], axis=2)[..., 0]
             rows = np.arange(len(pids))[:, None]
             dt = np.abs(t - first.t[rows, k])
 
@@ -333,13 +349,30 @@ class Network:
             )
             p_out_eff = self._condition(p_out, first.p_out, first.lost_out, shared, k, dt, out_corr)
 
-        u = rng.random((3,) + segs.shape)
-        lost_cong = u[0] < p_cong_eff
-        lost_out = u[1] < p_out_eff
-        lost_base = u[2] < p_base  # memoryless: never conditioned
-        lost_fwd = rng.random(len(pids)) < self.paths.forward_loss[pids]
-        lost = lost_cong.any(axis=1) | lost_out.any(axis=1) | lost_base.any(axis=1) | lost_fwd
-        latency = self._latency(pids, segs, t, valid, safe, p_cong, rng)
+        lost_cong = rng.random(shape) < p_cong_eff
+        lost_out = rng.random(shape) < p_out_eff
+        p_base = self.state.base_loss[safe]
+        np.copyto(p_base, 0.0, where=pad)
+        lost = lost_cong.any(axis=1) | lost_out.any(axis=1)
+        lost |= (rng.random(shape) < p_base).any(axis=1)  # memoryless: never conditioned
+        del p_base
+        lost |= rng.random(len(pids)) < self.paths.forward_loss[pids]
+
+        scale = self.state.jitter_s[safe]
+        np.copyto(scale, 0.0, where=pad)
+        scale /= 2.0
+        jitter = rng.gamma(2.0, 1.0, shape)
+        jitter *= scale
+        latency = self.paths.prop_total[pids] + jitter.sum(axis=1)
+        del scale, jitter
+        # p_cong is +0.0 on padding and queue_s finite and >= 0, so the
+        # queueing term is +0.0 there without a mask
+        queue = self.state.queue_s[safe]
+        queue *= p_cong
+        queue *= rng.uniform(0.5, 1.5, shape)
+        latency += queue.sum(axis=1)
+        del queue
+        latency += self.state.delay.severity_at(segs, t).sum(axis=1)
         return _Detail(
             segs=segs,
             t=t,
@@ -347,32 +380,8 @@ class Network:
             p_out=p_out,
             lost_cong=lost_cong,
             lost_out=lost_out,
-            lost_base=lost_base,
-            lost_fwd=lost_fwd,
             lost=lost,
             latency=latency,
-        )
-
-    def _latency(
-        self,
-        pids: np.ndarray,
-        segs: np.ndarray,
-        t: np.ndarray,
-        valid: np.ndarray,
-        safe: np.ndarray,
-        p_cong: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        jitter_scale = np.where(valid, self.state.jitter_s[safe], 0.0)
-        jitter = rng.gamma(2.0, 1.0, size=segs.shape) * (jitter_scale / 2.0)
-        queue = self.state.queue_s[safe] * p_cong * rng.uniform(0.5, 1.5, size=segs.shape)
-        queue = np.where(valid, queue, 0.0)
-        inflation = self.state.delay.severity_at(segs, t)
-        return (
-            self.paths.prop_total[pids]
-            + jitter.sum(axis=1)
-            + queue.sum(axis=1)
-            + inflation.sum(axis=1)
         )
 
     @staticmethod

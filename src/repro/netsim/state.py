@@ -105,15 +105,13 @@ def busy_lookup(
     ``bounds``/``sev`` are a bank's busy entries behind the sentinel;
     ``mask`` must already exclude padding, out-of-horizon times and
     quiet segments, and ``sids`` hold 0 wherever the query had padding.
-    Every temporary keeps the query's shape.  Boolean compression of
-    per-packet arrays, in-place updates of them, and even leaving the
-    masked-out entries' times and ids unzeroed all measurably raised or
-    scattered peak RSS under the two-thread pool (glibc per-thread
-    arena fragmentation); this sequence of temporaries did not.
+    Only the masked entries are searched; every other entry answers 0
+    without a search.
     """
-    q = np.where(mask, t, 0.0) + sids * shift
-    idx = np.searchsorted(bounds, q, side="right") - 1
-    return np.where(mask, sev[idx], 0.0)
+    out = np.zeros(t.shape)
+    q = t[mask] + sids[mask] * shift
+    out[mask] = sev[np.searchsorted(bounds, q, side="right") - 1]
+    return out
 
 
 def mean_severities(

@@ -19,6 +19,8 @@ __all__ = ["ProbeSchedule", "generate_schedule", "PROBE_GAP_MIN_S", "PROBE_GAP_M
 
 PROBE_GAP_MIN_S = 0.6
 PROBE_GAP_MAX_S = 1.2
+#: draws per block of hosts in :func:`generate_schedule` (512 KB of float64)
+SCHEDULE_BLOCK = 1 << 16
 
 
 @dataclass
@@ -68,27 +70,27 @@ def generate_schedule(
     if horizon_s <= 0:
         raise ValueError("horizon must be positive")
 
-    per_host: list[tuple[np.ndarray, int]] = []
+    # each host's stream holds ``est`` gaps, then its start phase; as
+    # ``uniform`` is ``low + (high - low) * random()``, one ``random``
+    # block over several hosts draws the same values in the same order
     mean_gap = 0.5 * (gap_min_s + gap_max_s)
     est = int(horizon_s / mean_gap * 1.05) + 8
-    for host in range(n_hosts):
-        gaps = rng.uniform(gap_min_s, gap_max_s, est)
-        times = np.cumsum(gaps) - gaps[0] * rng.random()
-        times = times[times < horizon_s]
-        per_host.append((times, host))
-
-    t_send = np.concatenate([t for t, _ in per_host])
-    src = np.concatenate(
-        [np.full(len(t), h, dtype=np.int64) for t, h in per_host]
-    )
+    rows = max(1, SCHEDULE_BLOCK // (est + 1))
+    t_parts, counts = [], []
+    for lo in range(0, n_hosts, rows):
+        u = rng.random((min(rows, n_hosts - lo), est + 1))
+        gaps = gap_min_s + (gap_max_s - gap_min_s) * u[:, :est]
+        times = np.cumsum(gaps, axis=1)
+        times -= gaps[:, :1] * u[:, est:]
+        keep = times < horizon_s
+        t_parts.append(times[keep])
+        counts.append(keep.sum(axis=1))
+    t_send = np.concatenate(t_parts)
+    per_host = np.concatenate(counts)
+    src = np.repeat(np.arange(n_hosts, dtype=np.int64), per_host)
     # cycle methods per host, offset by host index
-    mid_dtype = id_dtype(n_methods)
-    method_id = np.concatenate(
-        [
-            ((np.arange(len(t)) + h) % n_methods).astype(mid_dtype)
-            for t, h in per_host
-        ]
-    )
+    cycle = np.arange(len(t_send)) - (np.cumsum(per_host) - per_host)[src] + src
+    method_id = (cycle % n_methods).astype(id_dtype(n_methods))
     # uniform destination != src; emitted at int64 so routing and path-id
     # arithmetic downstream never needs widening copies
     dst = rng.integers(0, n_hosts - 1, len(t_send))

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .records import Trace, TraceMeta, debug_checks_enabled, require_same_run
+from .records import Trace, TraceMeta, debug_checks_enabled, probe_order, require_same_run
 
 __all__ = [
     "save_trace",
@@ -147,9 +147,8 @@ class StreamingMerge:
                 f"offsets [{self._offsets[0]}..{total}] do not cover the "
                 f"{len(pids)} probe ids"
             )
-        order = np.argsort(pids, kind="stable")
         self._dest = np.empty(total, dtype=np.int64)
-        self._dest[order] = np.arange(total)
+        self._dest[probe_order(pids)] = np.arange(total)
         self._total = total
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self._outs: dict[str, np.ndarray] | None = None

@@ -1,11 +1,15 @@
 """Packet sampling: marginals, joint correlation, latency, trains."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.netsim import Network, config_2003
 from repro.netsim.network import conditional_loss_prob
+from repro.testbed import hosts_2003
 
 
 class TestConditionalLossProb:
@@ -218,3 +222,24 @@ class TestGroundTruth:
     def test_path_mean_loss_positive(self, tiny_network):
         pid = tiny_network.paths.direct_pid(0, 1)
         assert tiny_network.path_mean_loss(pid) > 0
+
+
+class TestFootprint:
+    def test_unconditioned_chunk_peaks_within_eight_planes(self):
+        # the footprint rule of Network._eval
+        net = Network.build(hosts_2003(), config_2003(), horizon=6 * 3600.0, seed=1)
+        p = net.paths
+        src, dst = np.nonzero(~np.eye(p.n_hosts, dtype=bool))
+        r = np.random.default_rng(0)
+        rows = 12_000
+        pids = r.choice(p.direct_pids(src, dst), rows)
+        times = np.sort(r.uniform(0.0, net.horizon, rows))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            net._eval(pids, times, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        planes = peak / (rows * p.seg.shape[1] * 8)
+        assert planes <= 8.0, f"one chunk peaked at {planes:.1f} planes"

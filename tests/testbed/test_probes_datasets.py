@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.testbed.datasets import DATASETS, RON2003, RONNARROW, RONWIDE, dataset
+from repro.testbed import probes
 from repro.testbed.probes import generate_schedule
 
 
@@ -55,6 +56,20 @@ class TestSchedule:
         assert bounds[0] == 0 and bounds[-1] == len(s)
         for h in range(5):
             assert np.all(s.src[bounds[h] : bounds[h + 1]] == h)
+
+    @pytest.mark.parametrize("block", [1, 1000, probes.SCHEDULE_BLOCK])
+    def test_blocks_draw_host_by_host(self, monkeypatch, block):
+        # each host's gaps, then its start phase, come off the stream in
+        # host order whatever the block size; methods cycle from the host id
+        monkeypatch.setattr(probes, "SCHEDULE_BLOCK", block)
+        rng = np.random.default_rng(3)
+        s = generate_schedule(5, 3, 600.0, np.random.default_rng(3))
+        for h in range(5):
+            gaps = rng.uniform(0.6, 1.2, int(600.0 / 0.9 * 1.05) + 8)
+            t = np.cumsum(gaps) - gaps[0] * rng.random()
+            t = t[t < 600.0]
+            assert s.t_send[s.src == h].tobytes() == t.tobytes()
+            assert np.array_equal(s.method_id[s.src == h], (np.arange(len(t)) + h) % 3)
 
     def test_validation(self, rng):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from repro.trace import (
     receive_window_filter,
     save_trace,
 )
+from repro.trace.records import probe_order
 from repro.trace.store import StreamingMerge, open_stored
 
 
@@ -109,6 +110,13 @@ class TestTrace:
             merged = Trace.concatenate(parts)
             np.testing.assert_array_equal(merged.probe_id, t.probe_id)
             np.testing.assert_array_equal(merged.t_send, t.t_send)
+
+    @pytest.mark.parametrize("high", [2**63, 5])
+    def test_probe_order_is_the_stable_argsort(self, high):
+        # distinct ids take the fast sort; ties fall back to the stable one
+        ids = np.random.default_rng(0).integers(0, high, 3000, dtype=np.uint64)
+        want = np.argsort(ids, kind="stable")
+        assert np.array_equal(probe_order(ids), want)
 
     def test_concatenate_rejects_mixed_meta(self):
         with pytest.raises(ValueError, match="mode"):
