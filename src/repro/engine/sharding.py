@@ -418,10 +418,10 @@ class ShardedCollector:
             max_cached_segments=cfg.max_cached_segments,
         )
         n = plan.n_hosts
-        params = spec.network_config(duration_s, include_events=include_events).probing
+        params = plan.probing
         ranges = plan_shards(n, self.resolve_shards(n))
         probing = None
-        if any(m.needs_probing for m in plan.methods):
+        if params is not None:
             probing = prepare_probing(plan.network, params, RngFactory(seed))
         directory: Path | None = None
         if cfg.spill_dir is not None:

@@ -17,7 +17,8 @@ capacity the data flow already uses.  Three limits bound the schemes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,9 +28,9 @@ from .redundant_model import independence_limit
 __all__ = ["DesignPoint", "DesignSpace"]
 
 
-@dataclass(frozen=True)
-class DesignPoint:
-    """Feasibility verdict for one (improvement, utilisation) point."""
+class DesignPoint(NamedTuple):
+    """Feasibility verdict for one (improvement, utilisation) point (a
+    named tuple: Figure 6 builds hundreds, a frozen dataclass costs 4×)."""
 
     improvement: float
     utilisation: float
@@ -38,7 +39,7 @@ class DesignPoint:
     cheaper: str  # "reactive" | "redundant" | "none"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DesignSpace:
     """Evaluate the Figure 6 regions for a concrete deployment.
 
@@ -65,12 +66,20 @@ class DesignSpace:
     best_path_improvement: float = 0.75
     cross_clp: float = 0.60
     probe_interval_s: float = 15.0
+    # per-instance constants of evaluate(), derived once
+    _probe_pps: float = field(init=False, repr=False, compare=False)
+    _redundant_limit: float = field(init=False, repr=False, compare=False)
+    _log_clp: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.link_capacity_pps <= 0:
             raise ValueError("capacity must be positive")
         if not 0 <= self.best_path_improvement <= 1:
             raise ValueError("best_path_improvement must be in [0, 1]")
+        set_ = object.__setattr__  # frozen: set once, here
+        set_(self, "_probe_pps", probing_overhead_pps(self.n_nodes, self.probe_interval_s))
+        set_(self, "_redundant_limit", independence_limit(self.cross_clp))
+        set_(self, "_log_clp", np.log(max(self.cross_clp, 1e-9)))
 
     # -- the three limits -------------------------------------------------
 
@@ -80,7 +89,7 @@ class DesignSpace:
 
     def redundant_limit(self) -> float:
         """Independence Limit (max improvement duplication can reach)."""
-        return independence_limit(self.cross_clp)
+        return self._redundant_limit
 
     def reactive_overhead_pps(self, improvement: float) -> float:
         """Probing rate needed for a target improvement.
@@ -93,8 +102,7 @@ class DesignSpace:
         lim = self.reactive_limit()
         if improvement >= lim:
             return float("inf")
-        base = probing_overhead_pps(self.n_nodes, self.probe_interval_s)
-        return base / (1.0 - improvement / lim)
+        return self._probe_pps / (1.0 - improvement / lim)
 
     def redundant_overhead_pps(self, improvement: float, flow_pps: float) -> float:
         """Duplicate traffic needed for a target improvement.
@@ -110,7 +118,7 @@ class DesignSpace:
         frac = improvement / lim
         if frac <= 0:
             return 0.0
-        k = np.log(1.0 - frac) / np.log(max(self.cross_clp, 1e-9))
+        k = np.log(1.0 - frac) / self._log_clp
         return float(max(k, 0.0) * flow_pps)
 
     # -- the decision -----------------------------------------------------

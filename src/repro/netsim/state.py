@@ -22,6 +22,7 @@ million-probe trace generation fast.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -348,6 +349,24 @@ _STREAM = {"congestion": "congestion", "outage": "outage", "delay": "pathology"}
 
 _ACCESS = (SegmentKind.ACCESS_IN, SegmentKind.ACCESS_OUT)
 
+#: streams per first-draw pass: bounds the pass's temporaries
+_BLOCK = 1 << 16
+
+
+def _first_draw_test(rates: np.ndarray) -> list[float] | None:
+    """e^-λ of each positive hour, in order: a stream draws a count of 0
+    in every hour iff its j-th double is at most the j-th value.  ``None``
+    when an hour is outside 0 <= λ < 10, where NumPy's Poisson sampler
+    does not take that form (λ >= 10 runs PTRS; a NaN rate raises).
+
+    ``math.exp`` is libm's ``exp``, the one NumPy's sampler calls;
+    ``np.exp`` may differ in the last ulp.
+    """
+    lams = rates.tolist()
+    if not all(0.0 <= lam < 10.0 for lam in lams):
+        return None
+    return [math.exp(-lam) for lam in lams if lam > 0.0]
+
 
 class SegmentTimelineRecipe:
     """Deterministic per-segment timeline generation, kind by kind.
@@ -394,24 +413,60 @@ class SegmentTimelineRecipe:
         self._index_processes()
 
     def _index_processes(self) -> None:
-        """Build each cause's episode processes once per distinct
+        """One pass over the registry builds everything generation reads
+        per segment, as arrays.
+
+        Each cause's episode processes are built once per distinct
         (segment class, link class, time zone); a segment holds only an
-        index into them per cause (-1: the cause draws nothing there)."""
+        index into them per cause (-1: the cause draws nothing there).
+        Each process also gets its first-draw test (see
+        :meth:`generate`).  The pass flags the segments with shared
+        pieces (shared-risk-group or major-event episodes) and gathers
+        names, correlation lengths and the static values
+        :func:`build_state` hands to :class:`SegmentState`.
+        """
         registry = self.topology.registry
+        n = len(registry)
         # a segment's processes depend only on its kind and its host
         members: dict[tuple, list[int]] = {}
+        names: list[str] = []
+        base_loss: list[float] = []
+        jitter_ms: list[float] = []
+        queue_ms: list[float] = []
+        srg_members: list[int] = []
         for seg in registry:
             members.setdefault((seg.kind, seg.host), []).append(seg.sid)
+            names.append(seg.name)
+            base_loss.append(seg.base_loss)
+            jitter_ms.append(seg.jitter_ms)
+            queue_ms.append(seg.queue_ms)
             op = self.class_cfg[seg.kind].outage
-            if seg.srg is not None and op is not None and seg.srg not in self._srg_outage:
-                self._srg_outage[seg.srg] = (op, self._mults(seg)[1])
+            if seg.srg is not None and op is not None:
+                srg_members.append(seg.sid)
+                if seg.srg not in self._srg_outage:
+                    self._srg_outage[seg.srg] = (op, self._mults(seg)[1])
+        self._names = names
+        #: per-segment background loss, mean jitter (s) and queueing
+        #: delay at severity 1.0 (s)
+        self.base_loss = np.array(base_loss, dtype=np.float64)
+        self.jitter_s = np.array(jitter_ms, dtype=np.float64) * MILLISECOND
+        self.queue_s = np.array(queue_ms, dtype=np.float64) * MILLISECOND
+        self._shared = {kind: np.zeros(n, dtype=bool) for kind in KINDS}
+        self._shared["outage"][srg_members] = True
+        self._shared["outage"][list(self._outage_extra)] = True
+        self._shared["delay"][list(self._delay_extra)] = True
         #: (hourly rates, duration sampler, severity sampler) per process
         self._processes: list[_Process] = []
-        self._process_of = {kind: np.full(len(registry), -1, dtype=np.int32) for kind in KINDS}
+        #: per process: e^-λ of its positive hours, or None (see
+        #: _first_draw_test)
+        quiet_tests: list[list[float] | None] = []
+        self._process_of = {kind: np.full(n, -1, dtype=np.int32) for kind in KINDS}
+        self._corr = {kind: np.empty(n) for kind in KINDS}
         known: dict[tuple, int] = {}
         profiles: dict[float, np.ndarray] = {}
-        for sids in members.values():
-            seg = registry[sids[0]]
+        for group in members.values():
+            seg = registry[group[0]]
+            sids = np.array(group)
             scfg = self.class_cfg[seg.kind]
             cong_mult, outage_mult, tz = self._mults(seg)
             made = []
@@ -430,7 +485,18 @@ class SegmentTimelineRecipe:
                     known[kind, key] = len(self._processes)
                     rates = hourly_rates(max(self.horizon, 0.0), proc.rate_per_hour)
                     self._processes.append(proc._replace(rate_per_hour=rates))
+                    quiet_tests.append(_first_draw_test(rates))
                 self._process_of[kind][sids] = known[kind, key]
+            for kind in KINDS:
+                self._corr[kind][sids] = self.corr_length(seg, kind)
+        # the tests as a table: row p holds process p's thresholds, padded
+        # with 1.0 (every double passes), and -1 draws marks a process
+        # without a test
+        self._draws = np.array([-1 if t is None else len(t) for t in quiet_tests], dtype=np.int64)
+        self._thresholds = np.ones((len(quiet_tests), int(self._draws.max(initial=0))))
+        for p, t in enumerate(quiet_tests):
+            if t:
+                self._thresholds[p, : len(t)] = t
 
     def _mults(self, seg: Segment) -> tuple[float, float, float]:
         """(congestion multiplier, outage multiplier, tz offset) of a segment."""
@@ -454,14 +520,42 @@ class SegmentTimelineRecipe:
         with the matching severities, bitwise equal to
         ``self.timeline(kind, seg)``.  A quiet segment (no episode of
         its own, no shared-risk-group or major-event episode) is one
-        zero entry: it costs one stream derivation and one count draw,
-        and no Python object.  The batch is validated once, vectorised.
+        zero entry and no Python object.
+
+        Most segments' own streams draw a count of 0 in every hour, and
+        that is decided before any ``Generator`` exists.  For
+        0 < λ < 10, NumPy's Poisson sampler returns 0 exactly when its
+        first double is at most e^-λ, having consumed that one double;
+        λ = 0 draws nothing.  So a stream is quiet when its j-th double
+        (:meth:`RngFactory.first_draws`, vectorised over the batch)
+        passes the j-th positive hour's test.  Only the streams that
+        fail it, or whose process has an hour with λ >= 10 (the PTRS
+        branch, which draws differently), get a real ``Generator`` and
+        the per-segment draws; segments with shared pieces join them.
+        A stream that fails the test still comes out quiet when every
+        episode it draws starts past the horizon.  The batch is
+        validated once, vectorised.
         """
         if kind not in _STREAM:
             raise ValueError(f"unknown timeline kind {kind!r}")
         stream = _STREAM[kind]
         extra = {"outage": self._outage_pieces, "delay": self._delay_pieces}.get(kind)
         sids = np.asarray(sids, dtype=np.int64).reshape(-1)
+        pids = self._process_of[kind][sids]
+        own = np.flatnonzero(pids >= 0)
+        draws = self._draws[pids[own]]
+        needs = np.zeros(sids.size, dtype=bool)
+        needs[own[draws < 0]] = True
+        tested = own[draws > 0]  # no positive hour: no draw, no episode
+        m = int(draws.max(initial=0))
+        names = self._names
+        for lo in range(0, tested.size, _BLOCK):
+            block = tested[lo : lo + _BLOCK]
+            first = self._rngs.first_draws(
+                (stream,), [names[sid] for sid in sids[block].tolist()], m
+            )
+            needs[block] = (first > self._thresholds[pids[block], :m]).any(axis=1)
+        shared = self._shared[kind][sids]
         segments = self.topology.registry
         processes = self._processes
         horizon = self.horizon
@@ -469,20 +563,28 @@ class SegmentTimelineRecipe:
         busy: list[tuple[int, np.ndarray, np.ndarray]] = []
         durations: list[np.ndarray] = []
         severities: list[np.ndarray] = []
-        for i, (sid, pid) in enumerate(zip(sids.tolist(), self._process_of[kind][sids].tolist())):
-            seg = segments[sid]
+        rows = np.flatnonzero(needs | shared)
+        for i, sid, pid, real, with_pieces in zip(
+            rows.tolist(),
+            sids[rows].tolist(),
+            pids[rows].tolist(),
+            needs[rows].tolist(),
+            shared[rows].tolist(),
+        ):
             parts = []
-            if pid >= 0:
+            if real:
                 proc = processes[pid]
-                rng = self._rngs.stream(stream, seg.name)
+                rng = self._rngs.stream(stream, names[sid])
                 counts = draw_counts(rng, proc.rate_per_hour)
-                own = draw_episodes(rng, counts, horizon, proc.duration, proc.severity)
-                if own is not None:
-                    parts.append(own)
-                    durations.append(own[1])
-                    severities.append(own[2])
-            if extra is not None:
-                parts.extend((e.start, e.duration, e.severity) for e in extra(seg) if len(e))
+                drawn = draw_episodes(rng, counts, horizon, proc.duration, proc.severity)
+                if drawn is not None:
+                    parts.append(drawn)
+                    durations.append(drawn[1])
+                    severities.append(drawn[2])
+            if with_pieces:
+                parts.extend(
+                    (e.start, e.duration, e.severity) for e in extra(segments[sid]) if len(e)
+                )
             if not parts:
                 continue  # quiet: its one zero entry is already in lengths
             start, dur, sev = (np.concatenate(c) for c in zip(*parts))
@@ -503,6 +605,7 @@ class SegmentTimelineRecipe:
         if rec.enabled:
             rec.counter_add("substrate.timelines", sids.size)
             rec.counter_add("substrate.quiet", sids.size - int(busy_flags(offsets, severity).sum()))
+            rec.counter_add("substrate.generators", int(needs.sum()))
         return offsets, boundaries, severity
 
     def _outage_pieces(self, seg: Segment) -> list[EpisodeSet]:
@@ -590,10 +693,10 @@ class SegmentTimelineRecipe:
         raise ValueError(f"unknown timeline kind {kind!r}")
 
     def corr_lengths(self, kind: str) -> np.ndarray:
-        return np.array(
-            [self.corr_length(seg, kind) for seg in self.topology.registry],
-            dtype=np.float64,
-        )
+        """Every segment's :meth:`corr_length` of one cause."""
+        if kind not in self._corr:
+            raise ValueError(f"unknown timeline kind {kind!r}")
+        return self._corr[kind]
 
 
 def check_cache_budget(substrate: str, max_cached_segments: int | None) -> None:
@@ -633,17 +736,7 @@ def build_state(
     check_cache_budget(substrate, max_cached_segments)
     with telemetry.get_recorder().span("substrate", cat="stage", substrate=substrate):
         cfg = topology.config
-        reg = topology.registry
-        n_seg = len(reg)
         recipe = SegmentTimelineRecipe(topology, horizon, rngs)
-
-        base_loss = np.zeros(n_seg)
-        jitter_s = np.zeros(n_seg)
-        queue_s = np.zeros(n_seg)
-        for seg in reg:
-            base_loss[seg.sid] = seg.base_loss
-            jitter_s[seg.sid] = seg.jitter_ms * MILLISECOND
-            queue_s[seg.sid] = seg.queue_ms * MILLISECOND
 
         if substrate == "lazy":
             # function-level: netsim.substrate imports this module's types
@@ -654,7 +747,7 @@ def build_state(
                 for kind in KINDS
             }
         else:
-            every = np.arange(n_seg)
+            every = np.arange(len(topology.registry))
             banks = {
                 kind: TimelineBank.from_csr(
                     *recipe.generate(kind, every), horizon, recipe.corr_lengths(kind)
@@ -682,8 +775,8 @@ def build_state(
             congestion=banks["congestion"],
             outage=banks["outage"],
             delay=banks["delay"],
-            base_loss=base_loss,
-            jitter_s=jitter_s,
-            queue_s=queue_s,
+            base_loss=recipe.base_loss,
+            jitter_s=recipe.jitter_s,
+            queue_s=recipe.queue_s,
             host_down=TimelineBank(host_down, horizon),
         )

@@ -39,6 +39,7 @@ from repro import telemetry
 from repro.core.methods import METHODS, Method
 from repro.core.reactive import RoutingTables, build_routing_tables, run_probing
 from repro.core.router import resolve_routes
+from repro.netsim.config import ProbingParams
 from repro.netsim.network import Network, PairOutcome
 from repro.netsim.rng import RngFactory
 from repro.netsim.topology import PathTable
@@ -106,6 +107,8 @@ class CollectionPlan:
     #: whether the run's substrate includes the scheduled major events
     #: (part of run identity — e.g. the engine's spill-directory key).
     include_events: bool = True
+    #: the probing subsystem's parameters when a method needs probing
+    probing: ProbingParams | None = None
 
     @property
     def n_hosts(self) -> int:
@@ -206,9 +209,12 @@ def prepare_collection_base(
 
     Everything :func:`prepare_collection` builds *except* the probing
     subsystem and routing tables — the returned plan has
-    ``tables=None``.  The engine (:mod:`repro.engine.sharding`) starts
-    from this plan and overlaps table construction with collection
-    instead of finishing it here.
+    ``tables=None``, and the probing parameters they are built from
+    when a method needs them.  The engine (:mod:`repro.engine.sharding`)
+    starts from this plan and overlaps table construction with
+    collection instead of finishing it here.  The dataset's network
+    config is built at most once, and only when the network is built
+    here or a method needs probing.
     Every RNG substream is named (``schedule``, ``probing/<host>``,
     ...), so building the schedule without — or before — probing
     changes no draw: composing this with the probe/tables stages in any
@@ -217,7 +223,11 @@ def prepare_collection_base(
     if duration_s <= 0:
         raise ValueError("duration must be positive")
     rngs = RngFactory(seed)
-    cfg = spec.network_config(duration_s, include_events=include_events)
+    methods = tuple(METHODS.lookup(name) for name in spec.probe_methods)
+    needs_probing = any(m.needs_probing for m in methods)
+    cfg = None
+    if network is None or needs_probing:
+        cfg = spec.network_config(duration_s, include_events=include_events)
     hosts = spec.hosts()
     if network is None:
         network = Network.build(
@@ -236,7 +246,6 @@ def prepare_collection_base(
                 f"prebuilt network was built with relay policy {built!r}, "
                 f"but dataset {spec.name!r} specifies {spec.relay_policy!r}"
             )
-    methods = tuple(METHODS.lookup(name) for name in spec.probe_methods)
 
     sched_rng = rngs.stream("schedule")
     sched = generate_schedule(len(hosts), len(methods), duration_s, sched_rng)
@@ -258,6 +267,7 @@ def prepare_collection_base(
         sched=sched,
         bounds=sched.source_bounds(len(hosts)),
         include_events=include_events,
+        probing=cfg.probing if needs_probing else None,
     )
 
 
@@ -289,15 +299,14 @@ def prepare_collection(
     )
 
     # the probing subsystem + routing tables (if any method needs them)
-    if any(m.needs_probing for m in plan.methods):
-        cfg = spec.network_config(duration_s, include_events=include_events)
+    if plan.probing is not None:
         rngs = RngFactory(seed)
         tables: RoutingTables | None = None
         with telemetry.span("probe", cat="stage", hosts=plan.n_hosts):
-            series = run_probing(plan.network, cfg.probing, rngs)
+            series = run_probing(plan.network, plan.probing, rngs)
         with telemetry.span("tables", cat="stage", hosts=plan.n_hosts):
             tables = build_routing_tables(
-                series, cfg.probing, relay_set=plan.network.paths.relay_set
+                series, plan.probing, relay_set=plan.network.paths.relay_set
             )
         plan = replace(plan, tables=tables)
     return plan

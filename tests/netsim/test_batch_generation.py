@@ -2,6 +2,8 @@
 must reproduce the per-segment reference :meth:`~SegmentTimelineRecipe.timeline`
 bit for bit, for every cause, batch composition and order."""
 
+import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -11,6 +13,8 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.netsim import RngFactory
+from repro.netsim.episodes import draw_counts, hourly_rates
+from repro.netsim.segments import SegmentKind
 from repro.netsim.state import KINDS, SegmentTimelineRecipe
 from repro.netsim.topology import build_topology
 from repro.netsim.units import HOUR
@@ -24,6 +28,7 @@ SCENARIOS = {
 }
 HORIZONS = (300.0, 6 * HOUR, 72 * HOUR)
 SEEDS = (1, 2, 7)
+ACCESS = (SegmentKind.ACCESS_IN, SegmentKind.ACCESS_OUT)
 
 
 @lru_cache(maxsize=None)
@@ -45,6 +50,19 @@ def assert_batch_matches_reference(scenario, horizon, seed, kind, sids):
     assert offsets.shape == (len(sids) + 1,) and offsets[0] == 0
     assert boundaries.size == severity.size == offsets[-1]
     for i, sid in enumerate(sids):
+        tl = reference.timeline(kind, topo.registry[sid])
+        lo, hi = offsets[i], offsets[i + 1]
+        assert bits(boundaries[lo:hi]) == bits(tl.boundaries), (kind, sid)
+        assert bits(severity[lo:hi]) == bits(tl.severity), (kind, sid)
+
+
+def assert_topology_matches_reference(topo, horizon, seed, kind, sids):
+    """The batch-versus-reference comparison on any topology."""
+    sids = np.asarray(sids, dtype=np.int64)
+    batch = SegmentTimelineRecipe(topo, horizon, RngFactory(seed))
+    reference = SegmentTimelineRecipe(topo, horizon, RngFactory(seed))
+    offsets, boundaries, severity = batch.generate(kind, sids)
+    for i, sid in enumerate(sids.tolist()):
         tl = reference.timeline(kind, topo.registry[sid])
         lo, hi = offsets[i], offsets[i + 1]
         assert bits(boundaries[lo:hi]) == bits(tl.boundaries), (kind, sid)
@@ -109,6 +127,68 @@ def test_generation_counters():
     n_quiet = int(((np.diff(offsets) == 1) & (severity[offsets[:-1]] == 0)).sum())
     assert counters["substrate.quiet"] == n_quiet
     assert 0 < counters["substrate.quiet"] <= counters["substrate.timelines"]
+    # a Generator only for the streams that draw an episode count: each
+    # segment's own outage stream and hourly rates, as the reference has them
+    rngs = RngFactory(1)
+    drawing = 0
+    for seg in topo.registry:
+        params = recipe.class_cfg[seg.kind].outage
+        if params is None:
+            continue
+        mult = topo.host(seg.host).link_class.outage_mult if seg.kind in ACCESS else 1.0
+        rates = hourly_rates(300.0, params.rate_per_day * mult / 24.0)
+        drawing += bool(np.any(draw_counts(rngs.stream("outage", seg.name), rates)))
+    assert counters["substrate.generators"] == drawing
+    assert 0 < drawing < counters["substrate.timelines"] / 10
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_batch_equals_reference_with_zero_and_ptrs_rates(seed):
+    """Hours with λ = 0 (Poisson draws nothing) and λ >= 10 (NumPy's PTRS
+    branch) on one network: a diurnal amplitude of 1 zeroes local 03:00,
+    and a trunk congestion rate of 6 per hour peaks at 12 by 15:00."""
+    horizon = 18 * HOUR
+    ds = stress_mesh(n_hosts=8).build()
+    cfg = ds.network_config(horizon)
+    trunk = replace(cfg.trunk, congestion=replace(cfg.trunk.congestion, rate_per_hour=6.0))
+    cfg = cfg.with_overrides(diurnal_amplitude=1.0, trunk=trunk)
+    topo = build_topology(ds.hosts(), cfg, RngFactory(seed))
+    batch = SegmentTimelineRecipe(topo, horizon, RngFactory(seed))
+    lams = np.concatenate([p.rate_per_hour for p in batch._processes])
+    assert (lams == 0.0).any() and (lams >= 10.0).any()
+    n = len(topo.registry)
+    perm = np.random.default_rng(seed).permutation(n)
+    for kind in KINDS:
+        for sids in (perm, perm[: n // 3]):
+            assert_topology_matches_reference(topo, horizon, seed, kind, sids)
+
+
+def test_ptrs_hours_are_drawn_even_after_a_tiny_first_double():
+    """At λ >= 10 NumPy's Poisson sampler runs PTRS, so a first double at
+    or below e^-λ does not mean a count of 0 there.  At λ = 10.0 exactly,
+    find a seed where some stream's first double is that small: its
+    timeline must still be drawn, and equal the reference."""
+    horizon = HOUR
+    ds = stress_mesh(n_hosts=8).build()
+    cfg = ds.network_config(horizon)
+    ten = {
+        name: replace(c, congestion=replace(c.congestion, rate_per_hour=10.0))
+        for name, c in (("isp", cfg.isp), ("trunk", cfg.trunk), ("middle", cfg.middle))
+    }
+    cfg = cfg.with_overrides(diurnal_amplitude=0.0, **ten)
+    kinds = (SegmentKind.ISP, SegmentKind.TRUNK, SegmentKind.MIDDLE)
+    topo = build_topology(ds.hosts(), cfg, RngFactory(1))
+    names = [seg.name for seg in topo.registry if seg.kind in kinds]
+    for seed in range(1, 5000):
+        rngs = RngFactory(seed)
+        tiny = [n for n in names if rngs.stream("congestion", n).random() <= math.exp(-10.0)]
+        if tiny:
+            break
+    assert tiny, "no stream with a first double below e^-10"
+    topo = build_topology(ds.hosts(), cfg, RngFactory(seed))
+    reference = SegmentTimelineRecipe(topo, horizon, RngFactory(seed))
+    assert reference.timeline("congestion", topo.registry.by_name(tiny[0])).max_severity() > 0
+    assert_topology_matches_reference(topo, horizon, seed, "congestion", range(len(topo.registry)))
 
 
 def test_unknown_kind_rejected():

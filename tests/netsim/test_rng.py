@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.rng import RngFactory
 
@@ -83,3 +85,32 @@ def test_stream_state_matches_list_entropy(seed):
             rngs.stream(*path).bit_generator.state
             == _list_entropy_stream(seed, *path).bit_generator.state
         ), path
+
+
+#: seeds on both sides of 2**32 (one seed word or two), up to 2**64 - 1
+SEEDS = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]),
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=SEEDS,
+    prefix=st.lists(st.text(max_size=10), max_size=2),
+    names=st.lists(st.text(max_size=16), min_size=1, max_size=12),
+    m=st.integers(1, 6),
+)
+def test_first_draws_match_streams(seed, prefix, names, m):
+    rngs = RngFactory(seed)
+    got = rngs.first_draws(prefix, names, m)
+    want = np.array([rngs.stream(*prefix, name).random(m) for name in names])
+    assert got.shape == (len(names), m)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_first_draws_shapes():
+    rngs = RngFactory(3)
+    assert rngs.first_draws(("outage",), [], 2).shape == (0, 2)
+    assert rngs.first_draws(("outage",), ["a", "b"], 0).shape == (2, 0)

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.methods import METHODS
+from repro.engine import ShardedCollector
+from repro.netsim import Network
 from repro.testbed import RONNARROW, RONWIDE, collect
+from repro.testbed.datasets import DatasetSpec
 
 
 class TestRon2003Collection:
@@ -117,3 +121,44 @@ class TestRttCollection:
         rand = tr.method_mask("rand")
         direct = tr.method_mask("direct")
         assert tr.lost1[rand].mean() > tr.lost1[direct].mean()
+
+
+class TestConfigBuiltOnce:
+    """A collection builds its dataset's network config once, and only
+    where it is read: for the network build and the probing subsystem."""
+
+    DURATION = 120.0
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        made = []
+        build = DatasetSpec.network_config
+
+        def counting(spec, *args, **kwargs):
+            made.append(spec.name)
+            return build(spec, *args, **kwargs)
+
+        monkeypatch.setattr(DatasetSpec, "network_config", counting)
+        return made
+
+    @pytest.fixture(scope="class")
+    def network(self):
+        ds = RONNARROW
+        return Network.build(ds.hosts(), ds.network_config(self.DURATION), self.DURATION, seed=2)
+
+    def test_dataset_probes(self):
+        assert any(METHODS.lookup(name).needs_probing for name in RONNARROW.probe_methods)
+
+    def test_collect_on_a_prebuilt_network(self, calls, network):
+        collect(RONNARROW, self.DURATION, seed=2, network=network)
+        assert len(calls) == 1
+
+    def test_engine_on_a_prebuilt_network(self, calls, network):
+        ShardedCollector(n_shards=2, executor="serial").collect(
+            RONNARROW, self.DURATION, seed=2, network=network
+        )
+        assert len(calls) == 1
+
+    def test_collect_building_its_network(self, calls):
+        collect(RONNARROW, self.DURATION, seed=2)
+        assert len(calls) == 1
