@@ -30,16 +30,13 @@ import numpy as np
 from repro.trace.records import Trace
 
 from .streaming.accumulators import (
-    DIRECT_FIRST,
     MethodStatsAccumulator,
     PathClpAccumulator,
+    table_row,
+    table_row_names,
 )
 
 __all__ = ["MethodStats", "method_stats", "method_stats_table", "per_path_clp"]
-
-#: methods whose first packet rides the direct path (used to infer the
-#: paper's direct* row).
-_DIRECT_FIRST = DIRECT_FIRST
 
 
 @dataclass(frozen=True)
@@ -79,42 +76,12 @@ def method_stats_table(trace: Trace, rows: list[str] | None = None) -> list[Meth
     """Table 5/7 rows for a trace, inferring starred rows when needed.
 
     ``rows`` defaults to every method probed plus the standard inferred
-    rows (``direct`` from direct-first pairs, ``lat`` from lat_loss).
+    rows (``direct`` from direct-first pairs, ``lat`` from lat_loss);
+    each row follows :func:`~repro.analysis.streaming.accumulators.table_row`.
     """
-    probed = set(trace.meta.method_names)
     if rows is None:
-        rows = []
-        if "direct" not in probed and any(s in probed for s in _DIRECT_FIRST):
-            rows.append("direct")
-        if "lat" not in probed and "lat_loss" in probed:
-            rows.append("lat")
-        rows.extend(trace.meta.method_names)
-    accs: list[MethodStatsAccumulator] = []
-    for name in rows:
-        if name in probed:
-            accs.append(MethodStatsAccumulator(trace.meta, name))
-        elif name == "direct":
-            accs.append(
-                MethodStatsAccumulator(
-                    trace.meta,
-                    "direct",
-                    sources=tuple(s for s in _DIRECT_FIRST if s in probed),
-                    first_packet=True,
-                    inferred=True,
-                )
-            )
-        elif name == "lat" and "lat_loss" in probed:
-            accs.append(
-                MethodStatsAccumulator(
-                    trace.meta,
-                    "lat",
-                    sources=("lat_loss",),
-                    first_packet=True,
-                    inferred=True,
-                )
-            )
-        else:
-            raise KeyError(f"method {name!r} neither probed nor inferrable")
+        rows = table_row_names(trace.meta)
+    accs = [table_row(trace.meta, name) for name in rows]
     return [acc.update(trace).finalize() for acc in accs]
 
 

@@ -16,12 +16,13 @@ from .accumulators import (
     PathClpAccumulator,
     PathLossAccumulator,
     WindowLossAccumulator,
+    table_row,
+    table_row_names,
 )
 from .analyzer import (
     DEFAULT_WINDOW_SIZES,
     AnalysisSnapshot,
     StreamingAnalyzer,
-    table_row_specs,
 )
 
 __all__ = [
@@ -34,5 +35,6 @@ __all__ = [
     "PathLossAccumulator",
     "StreamingAnalyzer",
     "WindowLossAccumulator",
-    "table_row_specs",
+    "table_row",
+    "table_row_names",
 ]

@@ -44,11 +44,19 @@ __all__ = [
     "HourlyLossAccumulator",
     "PathLossAccumulator",
     "DIRECT_FIRST",
+    "STARRED_SOURCES",
+    "table_row",
+    "table_row_names",
 ]
 
 #: methods whose first packet rides the direct path (used to infer the
-#: paper's ``direct*`` row; re-exported by ``lossstats._DIRECT_FIRST``).
+#: paper's ``direct*`` row).
 DIRECT_FIRST = ("direct_rand", "direct_direct", "dd_10ms", "dd_20ms")
+
+#: the paper's starred Table 5/7 rows: a row not probed itself is
+#: inferred from the first packets of whichever of its sources a run
+#: probed.
+STARRED_SOURCES = {"direct": DIRECT_FIRST, "lat": ("lat_loss",)}
 
 
 def _canonical(trace: Trace) -> Trace:
@@ -267,6 +275,33 @@ class MethodStatsAccumulator(Accumulator):
                 self.lat_count > 0, self.lat_sum / np.maximum(self.lat_count, 1), np.nan
             )
         return PathLatencies(method=self.name, mean_latency=mean.reshape(n, n))
+
+
+def table_row(meta: TraceMeta, name: str) -> MethodStatsAccumulator:
+    """The accumulator of Table 5/7 row ``name`` for a run.
+
+    A probed method is its own row; a starred row not probed is
+    inferred from the first packets of its probed sources
+    (:data:`STARRED_SOURCES`).  Any other name raises ``KeyError``.
+    """
+    if name in meta.method_names:
+        return MethodStatsAccumulator(meta, name)
+    sources = tuple(s for s in STARRED_SOURCES.get(name, ()) if s in meta.method_names)
+    if not sources:
+        raise KeyError(f"method {name!r} neither probed nor inferrable")
+    return MethodStatsAccumulator(meta, name, sources=sources, first_packet=True, inferred=True)
+
+
+def table_row_names(meta: TraceMeta) -> list[str]:
+    """The standard Table 5/7 rows of a run: the starred rows it can
+    infer but did not probe, then every probed method."""
+    probed = meta.method_names
+    starred = [
+        name
+        for name, sources in STARRED_SOURCES.items()
+        if name not in probed and any(s in probed for s in sources)
+    ]
+    return starred + list(probed)
 
 
 class PathClpAccumulator(Accumulator):

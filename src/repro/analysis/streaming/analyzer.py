@@ -26,51 +26,24 @@ from repro.trace.filters import apply_standard_filters
 from repro.trace.records import Trace, TraceMeta
 
 from .accumulators import (
-    DIRECT_FIRST,
     HourlyLossAccumulator,
     MethodStatsAccumulator,
     PathClpAccumulator,
     PathLossAccumulator,
     WindowLossAccumulator,
+    table_row,
+    table_row_names,
 )
 
 __all__ = [
     "StreamingAnalyzer",
     "AnalysisSnapshot",
     "DEFAULT_WINDOW_SIZES",
-    "table_row_specs",
 ]
 
 #: window sizes pre-registered by default: Figure 3's 20 minutes and
 #: Table 6's one hour.
 DEFAULT_WINDOW_SIZES = (1200.0, 3600.0)
-
-
-def table_row_specs(meta: TraceMeta) -> list[dict]:
-    """The standard Table 5/7 rows for a run, as accumulator kwargs.
-
-    Mirrors :func:`repro.analysis.lossstats.method_stats_table` with
-    ``rows=None``: every probed method, plus the inferred ``direct``
-    (first packets of direct-first pairs) and ``lat`` (first packets of
-    ``lat_loss``) rows when not probed directly.
-    """
-    probed = set(meta.method_names)
-    rows: list[dict] = []
-    if "direct" not in probed and any(s in probed for s in DIRECT_FIRST):
-        rows.append(
-            dict(
-                name="direct",
-                sources=tuple(s for s in DIRECT_FIRST if s in probed),
-                first_packet=True,
-                inferred=True,
-            )
-        )
-    if "lat" not in probed and "lat_loss" in probed:
-        rows.append(
-            dict(name="lat", sources=("lat_loss",), first_packet=True, inferred=True)
-        )
-    rows.extend(dict(name=name) for name in meta.method_names)
-    return rows
 
 
 class StreamingAnalyzer:
@@ -113,8 +86,8 @@ class StreamingAnalyzer:
 
     def _bind(self, meta: TraceMeta) -> None:
         self.meta = meta
-        for spec in table_row_specs(meta):
-            self._table[spec["name"]] = MethodStatsAccumulator(meta, **spec)
+        for name in table_row_names(meta):
+            self._table[name] = table_row(meta, name)
         for name in meta.method_names:
             for w in self.window_sizes:
                 self._windows[(name, w)] = WindowLossAccumulator(meta, name, w)

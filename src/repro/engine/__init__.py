@@ -5,7 +5,7 @@ The measurement pipeline in :mod:`repro.testbed.collection` defines the
 changing a single output bit:
 
 * :class:`ShardedCollector` splits one ``collect()`` by source host into
-  deterministic shards on a serial, thread or process pool
+  deterministic shards, run inline or on a thread pool
   (:mod:`repro.engine.sharding`).  Its one scheduler overlaps the
   probe, tables, collect and merge stages wherever the data flow
   allows: estimates fold as probe shards land, each collection shard

@@ -2,9 +2,9 @@
 
 :class:`ShardedCollector` partitions a run's source hosts into
 contiguous shards (:func:`plan_shards`), evaluates each shard against
-the shared read-only :class:`~repro.netsim.network.Network` on a
-serial, thread or process pool, and merges the partial traces into
-canonical probe-id order.  The shard layout cannot affect the output:
+the shared read-only :class:`~repro.netsim.network.Network`, inline or
+on a thread pool, and merges the partial traces into canonical
+probe-id order.  The shard layout cannot affect the output:
 every source block draws from its own named RNG substreams
 (``probing/<host>``, ``routes/<host>``, ``traffic/<host>``), so 1 shard,
 2 shards or one shard per host all fingerprint identically to the
@@ -39,19 +39,16 @@ run directory (see :mod:`repro.telemetry`).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     Executor,
     Future,
-    ProcessPoolExecutor,
     ThreadPoolExecutor,
     as_completed,
     wait,
 )
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -73,7 +70,6 @@ from repro.netsim.rng import RngFactory
 from repro.netsim.state import check_cache_budget
 from repro.telemetry import clock as _tclock
 from repro.testbed.collection import (
-    CollectionPlan,
     CollectionResult,
     collect_rows,
     prepare_collection_base,
@@ -85,7 +81,7 @@ from .spill import SpillPlan, clear_run_dir, collect_rows_spilled, run_slug
 
 __all__ = ["EngineConfig", "ShardedCollector", "plan_shards", "always_shard"]
 
-_EXECUTORS = ("serial", "thread", "process")
+_EXECUTORS = ("serial", "thread")
 _SUBSTRATES = ("eager", "lazy")
 
 
@@ -117,8 +113,7 @@ class EngineConfig:
     ``n_shards=None`` means one shard per available core; probing and
     collection fan out over the same host ranges.  The ``executor``
     defaults to ``"thread"`` (the kernels are NumPy-heavy and release
-    the GIL); ``"process"`` forks a worker pool that inherits the run's
-    plans, and ``"serial"`` runs every task inline (debugging, tests,
+    the GIL); ``"serial"`` runs every task inline (debugging, tests,
     one-worker runs).  ``min_hosts`` is the scenario size at which
     :class:`repro.api.Runner` switches a run from the sequential
     pipeline to the engine.  ``substrate="lazy"`` builds networks with
@@ -182,46 +177,6 @@ class EngineConfig:
 
 
 # -- the pool ----------------------------------------------------------------
-# fork workers inherit the run's plans by memory, so nothing but shard
-# ranges, per-shard table blocks and partial results crosses the pipe.
-
-
-@dataclass(frozen=True, eq=False)
-class _RunContext:
-    """What a forked pool worker inherits: the run's read-only plans."""
-
-    probing: ProbingPlan | None  # None when no method probes
-    collection: CollectionPlan  # tables=None; each task ships its block
-    spill: Path | None
-
-
-_CTX: _RunContext | None = None
-
-
-def _init_worker(ctx: _RunContext) -> None:
-    global _CTX
-    _CTX = ctx
-
-
-def _shard_plan(plan: CollectionPlan, block: RoutingTableBlock | None, spill: Path | None):
-    """One collection shard's plan: the shared table-less plan with the
-    shard's own table block swapped in (a block duck-types
-    ``RoutingTables.lookup`` for its sources, the only rows the shard
-    asks about), wrapped in a :class:`SpillPlan` when spilling."""
-    if block is not None:
-        plan = replace(plan, tables=block)
-    return plan if spill is None else SpillPlan(plan=plan, directory=spill)
-
-
-def _probe_task(kernel, bounds: tuple[int, int]):
-    assert _CTX is not None, "worker used before initialisation"
-    return telemetry.run_instrumented(kernel, _CTX.probing, *bounds)
-
-
-def _collect_task(kernel, bounds: tuple[int, int], block: RoutingTableBlock | None):
-    assert _CTX is not None, "worker used before initialisation"
-    plan = _shard_plan(_CTX.collection, block, _CTX.spill)
-    return telemetry.run_instrumented(kernel, plan, *bounds)
 
 
 class _InlineExecutor(Executor):
@@ -240,60 +195,23 @@ class _InlineExecutor(Executor):
 class _ShardPool:
     """The one place executors differ.
 
-    ``serial`` runs tasks inline; ``thread`` calls ``kernel(plan, lo,
-    hi)`` on a thread pool; ``process`` forks workers that inherit the
-    run's plans through ``initializer`` and call the module-level
-    ``worker(kernel, bounds, *args)``.  Routing-table blocks are
-    selected on :attr:`tables`, one at a time (inline for ``serial``):
-    width 1 keeps the tables/collect overlap deterministic, and the
-    selection kernels release the GIL anyway.
+    ``serial`` runs every task inline, at submit; ``thread`` calls
+    ``kernel(plan, lo, hi)`` on a pool of ``workers`` threads.
+    Routing-table blocks are selected on :attr:`tables`, one at a time
+    (inline for ``serial``): width 1 keeps the tables/collect overlap
+    deterministic, and the selection kernels release the GIL anyway.
     """
 
-    def __init__(self, executor: str, workers: int, *, initializer, context) -> None:
-        self.forked = executor == "process"
+    def __init__(self, executor: str, workers: int) -> None:
         self.tables: Executor = _InlineExecutor()
         self.shards: Executor = self.tables
-        if executor != "serial":
-            self.tables = ThreadPoolExecutor(max_workers=1)
         if executor == "thread":
+            self.tables = ThreadPoolExecutor(max_workers=1)
             self.shards = ThreadPoolExecutor(max_workers=workers)
-        elif self.forked:
-            try:
-                mp_context = multiprocessing.get_context("fork")
-            except ValueError as exc:  # pragma: no cover - non-POSIX platforms
-                raise RuntimeError(
-                    "the 'process' executor needs fork(); use executor='thread'"
-                ) from exc
-            self.shards = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=mp_context,
-                initializer=initializer,
-                initargs=(context,),
-            )
-        self._shard_of: dict[Future, tuple[str, int, int]] = {}
 
-    def submit(self, stage: str, plan, bounds: tuple[int, int], *args, kernel, worker) -> Future:
-        """Evaluate ``kernel(plan, *bounds)`` for one ``stage`` shard."""
-        if self.forked:
-            fut = self.shards.submit(worker, kernel, bounds, *args)
-        else:
-            fut = self.shards.submit(kernel, plan, *bounds)
-        self._shard_of[fut] = (stage, *bounds)
-        return fut
-
-    def result(self, fut: Future):
-        """A finished task's value, its worker's telemetry absorbed.
-
-        A dead process worker surfaces as :class:`BrokenProcessPool`
-        naming the stage and host range whose result was lost.
-        """
-        try:
-            return telemetry.unwrap_envelope(fut.result())
-        except BrokenProcessPool as exc:
-            stage, lo, hi = self._shard_of[fut]
-            raise BrokenProcessPool(
-                f"a process worker died: {stage} shard [{lo}, {hi}) was lost"
-            ) from exc
+    def submit(self, plan, bounds: tuple[int, int], *, kernel) -> Future:
+        """Evaluate ``kernel(plan, *bounds)`` for one shard."""
+        return self.shards.submit(kernel, plan, *bounds)
 
     def __enter__(self) -> "_ShardPool":
         return self
@@ -301,6 +219,16 @@ class _ShardPool:
     def __exit__(self, exc_type, *exc) -> None:
         for executor in (self.shards, self.tables):
             executor.shutdown(wait=True, cancel_futures=exc_type is not None)
+
+
+def _result(fut: Future, stage: str, bounds: tuple[int, int]):
+    """A finished task's value.  A task that raised re-raises its own
+    exception, noted with the ``stage`` and host range it ran."""
+    try:
+        return fut.result()
+    except Exception as exc:
+        exc.add_note(f"raised in {stage} shard [{bounds[0]}, {bounds[1]})")
+        raise
 
 
 #: which per-stage counter suffix a shard span's waits fold into.
@@ -313,9 +241,8 @@ _SPAN_STAGE = {"shard-probe": "probe", "shard-collect": "collect"}
 def _annotate_shard_waits(recorder, events, submit_ns: dict) -> None:
     """Stamp per-shard queue wait onto the shard spans of one fan-out.
 
-    ``submit_ns`` maps each shard's ``(host_lo, host_hi)`` to the
-    parent's submit time for that shard.  ``CLOCK_MONOTONIC`` is
-    machine-wide, so a worker span's begin time minus that stamp is the
+    ``submit_ns`` maps each shard's ``(host_lo, host_hi)`` to its
+    submit time.  A shard span's begin time minus that stamp is the
     shard's pool queue wait — how long it sat behind ``max_workers``/
     ``max_resident_shards`` before executing.  Waits and exec times
     fold into per-stage counters (``shard.queue_wait_ns.probe`` /
@@ -397,12 +324,14 @@ class ShardedCollector:
 
         ``analyzer`` (a :class:`repro.analysis.StreamingAnalyzer`) has
         each completed shard folded into it — ``analyzer.ingest(part)``
-        in the parent, in completion order (the accumulators are
+        on the calling thread, in completion order (the accumulators are
         order-invariant) — so Table/Figure statistics are ready the
         moment the run is.
 
         A serial run keeps the order table block *j*, collect *j*,
         scatter *j*: at most one collected part waits to be scattered.
+        A probe, tables or collect shard that raises stops the run with
+        its own exception, noted with the stage and host range it ran.
         """
         cfg = self.config
         rec = telemetry.get_recorder()
@@ -447,20 +376,20 @@ class ShardedCollector:
         blocks: list[RoutingTableBlock | None] = [None] * len(ranges)
         collect_submit: dict[tuple[int, int], int] = {}
         workers = min(self.resolve_workers() or os.cpu_count() or 1, len(ranges))
-        context = _RunContext(probing=probing, collection=plan, spill=directory)
-        with _ShardPool(cfg.executor, workers, initializer=_init_worker, context=context) as pool:
+        with _ShardPool(cfg.executor, workers) as pool:
             pending: dict[Future, tuple[str, int]] = {}
             ready: deque = deque()  # (shard, table block) pairs ready to collect
 
             def submit_collect(j: int, block: RoutingTableBlock | None) -> Future:
                 stamp("collect")
                 collect_submit[ranges[j]] = _tclock.monotonic_ns()
-                shard = _shard_plan(plan, block, directory)
+                # a block duck-types ``RoutingTables.lookup`` for its
+                # sources, the only rows the shard asks about
+                shard = plan if block is None else replace(plan, tables=block)
                 if directory is None:
-                    kw = dict(kernel=collect_rows, worker=_collect_task)
-                else:
-                    kw = dict(kernel=collect_rows_spilled, worker=_collect_task)
-                return pool.submit("collect", shard, ranges[j], block, **kw)
+                    return pool.submit(shard, ranges[j], kernel=collect_rows)
+                spilled = SpillPlan(plan=shard, directory=directory)
+                return pool.submit(spilled, ranges[j], kernel=collect_rows_spilled)
 
             if probing is None:
                 ready.extend((j, None) for j in range(len(ranges)))
@@ -491,7 +420,7 @@ class ShardedCollector:
                 # block's shard is submitted before the next is taken
                 for fut in sorted(done, key=pending.__getitem__):
                     kind, j = pending.pop(fut)
-                    value = pool.result(fut)
+                    value = _result(fut, kind, ranges[j])
                     stamp(kind)
                     if kind == "tables":
                         blocks[j] = value
@@ -551,8 +480,8 @@ def _probe_stage(pool: _ShardPool, probing: ProbingPlan, params, ranges, stamp):
     loss_est, lat_est = np.empty(shape), np.empty(shape)
     failed = np.empty(shape, dtype=bool)
 
-    def fold(fut: Future) -> None:
-        block = pool.result(fut)
+    def fold(fut: Future, bounds: tuple[int, int]) -> None:
+        block = _result(fut, "probe", bounds)
         rows = slice(block.host_lo, block.host_hi)
         with rec.span("estimate-fold", cat="pipeline", host_lo=rows.start, host_hi=rows.stop):
             series = ProbeSeries(interval=probing.interval, lost=block.lost, latency=block.latency)
@@ -560,17 +489,16 @@ def _probe_stage(pool: _ShardPool, probing: ProbingPlan, params, ranges, stamp):
 
     mark = rec.mark()
     probe_submit: dict[tuple[int, int], int] = {}
-    pending: set[Future] = set()
+    pending: dict[Future, tuple[int, int]] = {}
     stamp("probe")
     for bounds in ranges:
         probe_submit[bounds] = _tclock.monotonic_ns()
-        pending.add(pool.submit("probe", probing, bounds, kernel=probe_rows, worker=_probe_task))
+        pending[pool.submit(probing, bounds, kernel=probe_rows)] = bounds
         # fold what already landed (inline: this block) before probing on
         for fut in _finished(pending):
-            pending.remove(fut)
-            fold(fut)
-    for fut in as_completed(pending):
-        fold(fut)
+            fold(fut, pending.pop(fut))
+    for fut in as_completed(list(pending)):
+        fold(fut, pending.pop(fut))
     stamp("probe")
     if rec.enabled:
         _annotate_shard_waits(rec, rec.events_since(mark), probe_submit)

@@ -10,10 +10,6 @@ bounded by the shards in flight (``EngineConfig.max_resident_shards``
 caps the worker count) plus one shard during its scatter, while the
 output stays bitwise identical to the in-RAM run: the shard bytes
 round-trip exactly through ``.npz``.
-
-With the ``process`` executor this is also the cheapest transport:
-workers ship a file path over the pipe instead of pickling millions of
-probe rows.
 """
 
 from __future__ import annotations

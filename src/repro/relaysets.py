@@ -163,8 +163,8 @@ class RelaySet:
     Pair ``(s, d)`` owns the slice
     ``relay_ids[offsets[s * n + d] : offsets[s * n + d + 1]]`` — host
     ids sorted strictly ascending.  The layout is read-only after
-    construction and cheap to share: two flat arrays pickle/fork into
-    shards without per-pair Python objects.
+    construction and cheap to share: every shard reads the same two
+    flat arrays, with no per-pair Python objects.
 
     Invariants (checked at construction): offsets start at 0, are
     monotone and cover ``relay_ids`` exactly; every candidate is a real

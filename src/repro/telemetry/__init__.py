@@ -1,13 +1,12 @@
 """`repro.telemetry`: determinism-safe observability for the engine.
 
-The sharded engine runs multi-process, spill-to-disk workloads whose
+The sharded engine runs multi-threaded, spill-to-disk workloads whose
 hot path — probe grid, routing tables, shard collection, spill writes,
 streaming merge, analysis ingest — was previously observable only
 through post-hoc benchmarks.  This package instruments that path with
 
 * **spans** — monotonic-clock intervals per stage and per shard,
-  recorded in-process and shipped back from process-pool workers in
-  batches alongside their results;
+  recorded in-process by whichever thread runs the shard;
 * **counters/gauges** — rows collected, probes sent, spill bytes,
   substrate LRU hits/misses/evictions, per-shard queue-wait vs exec
   time, peak RSS (``VmHWM``);
@@ -53,24 +52,20 @@ from .manifest import (
 from .recorder import (
     NullRecorder,
     Recorder,
-    ShardEnvelope,
     counter_add,
     disable,
     enable,
     gauge_set,
     get_recorder,
     recording,
-    run_instrumented,
     set_recorder,
     span,
-    unwrap_envelope,
 )
 
 __all__ = [
     "clock",
     "Recorder",
     "NullRecorder",
-    "ShardEnvelope",
     "get_recorder",
     "set_recorder",
     "enable",
@@ -79,8 +74,6 @@ __all__ = [
     "span",
     "counter_add",
     "gauge_set",
-    "run_instrumented",
-    "unwrap_envelope",
     "MANIFEST_NAME",
     "manifest_path",
     "write_manifest",

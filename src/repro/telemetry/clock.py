@@ -11,10 +11,9 @@ code never calls ``time.*`` directly; it calls these helpers (or, far
 more commonly, records through :mod:`repro.telemetry.recorder`, which
 calls them).
 
-``CLOCK_MONOTONIC`` is machine-wide on Linux, so monotonic timestamps
-taken in forked shard workers are directly comparable with the
-parent's — which is how per-shard queue-wait (parent fan-out to worker
-start) is computed without any cross-process clock handshake.
+Shard threads and the thread that submits them read one monotonic
+clock, so a shard span's begin time minus its submit stamp is the
+shard's pool queue wait (see :mod:`repro.engine.sharding`).
 """
 
 from __future__ import annotations

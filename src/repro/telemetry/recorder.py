@@ -13,14 +13,9 @@ hot path pays nothing measurable.  :func:`enable` swaps in a
   never grow an event list;
 * **gauges** — named last-value samples (peak RSS).
 
-Cross-process propagation: process-pool shard kernels cannot append to
-the parent's recorder, so their module-level workers wrap the kernel in
-:func:`run_instrumented` — a fresh recorder for the duration, with the
-batched events shipped back in a :class:`ShardEnvelope` alongside the
-shard's result and folded into the parent's recorder by
-:func:`unwrap_envelope` (called where results drain, see
-:class:`repro.engine.ShardedCollector`).  Thread and serial executors
-record straight into the shared recorder; envelopes simply never appear.
+Shard kernels run on the caller's thread or on the engine's thread
+pool (see :class:`repro.engine.ShardedCollector`) and record straight
+into the one recorder, which a lock keeps consistent.
 
 Determinism: recording touches no RNG and no simulation state, so the
 golden trace fingerprint is byte-identical with telemetry fully enabled
@@ -35,15 +30,12 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any
 
 from . import clock
 
 __all__ = [
     "NullRecorder",
     "Recorder",
-    "ShardEnvelope",
     "get_recorder",
     "set_recorder",
     "enable",
@@ -52,8 +44,6 @@ __all__ = [
     "span",
     "counter_add",
     "gauge_set",
-    "run_instrumented",
-    "unwrap_envelope",
 ]
 
 
@@ -95,9 +85,6 @@ class NullRecorder:
     def record_span(
         self, name: str, cat: str = "run", *, ts_ns: int, dur_ns: int, **args
     ) -> None:
-        pass
-
-    def absorb(self, events) -> None:
         pass
 
     def mark(self) -> int:
@@ -211,21 +198,6 @@ class Recorder:
         with self._lock:
             self._events.append(event)
 
-    def absorb(self, events) -> None:
-        """Fold a worker's shipped events in: spans append with their
-        original pid/tid, counter/gauge records re-aggregate."""
-        with self._lock:
-            for ev in events:
-                kind = ev.get("ev")
-                if kind == "counter":
-                    self._counters[ev["name"]] = (
-                        self._counters.get(ev["name"], 0) + ev["value"]
-                    )
-                elif kind == "gauge":
-                    self._gauges[ev["name"]] = ev["value"]
-                else:
-                    self._events.append(ev)
-
     # -- scoping / extraction ------------------------------------------
 
     def mark(self) -> int:
@@ -321,51 +293,3 @@ def counter_add(name: str, value: float = 1) -> None:
 def gauge_set(name: str, value: float) -> None:
     _RECORDER.gauge_set(name, value)
 
-
-# -- cross-process propagation -----------------------------------------------
-
-
-@dataclass
-class ShardEnvelope:
-    """A shard kernel's result plus the telemetry it recorded.
-
-    What a process-pool worker ships back over the pipe when telemetry
-    is enabled: the kernel's ordinary return value and the worker-side
-    events (batched — one list per shard, not a stream).
-    """
-
-    value: Any
-    events: list[dict]
-
-
-def run_instrumented(fn, /, *args):
-    """Run ``fn(*args)`` in a process-pool worker, capturing telemetry.
-
-    Disabled recorder (the inherited default): calls straight through —
-    same object flow as before telemetry existed.  Enabled: installs a
-    fresh worker-local recorder for the duration (pool workers are
-    reused across shards, so state must not leak between calls) and
-    returns a :class:`ShardEnvelope` carrying the result plus the
-    batched events for the parent to absorb.
-    """
-    if not _RECORDER.enabled:
-        return fn(*args)
-    local = Recorder()
-    previous = set_recorder(local)
-    try:
-        value = fn(*args)
-    finally:
-        set_recorder(previous)
-    return ShardEnvelope(value, local.events())
-
-
-def unwrap_envelope(part):
-    """Fold an envelope's events into the active recorder, pass the value.
-
-    Non-envelope parts (serial/thread executors, or telemetry disabled)
-    pass through untouched.
-    """
-    if isinstance(part, ShardEnvelope):
-        _RECORDER.absorb(part.events)
-        return part.value
-    return part

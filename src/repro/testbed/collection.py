@@ -92,8 +92,8 @@ class CollectionPlan:
     Built once by :func:`prepare_collection` (substrate, probing,
     routing tables, schedule) and then handed to every evaluator —
     the sequential loop in :func:`collect` — or by
-    :func:`prepare_collection_base` without the tables, for the shard
-    workers of :class:`repro.engine.ShardedCollector`.
+    :func:`prepare_collection_base` without the tables, for the shards
+    of :class:`repro.engine.ShardedCollector`.
     """
 
     meta: TraceMeta
@@ -214,7 +214,9 @@ def prepare_collection_base(
     starts from this plan and overlaps table construction with
     collection instead of finishing it here.  The dataset's network
     config is built at most once, and only when the network is built
-    here or a method needs probing.
+    here or a method needs probing.  ``substrate`` /
+    ``max_cached_segments`` configure that build (see
+    :meth:`Network.build`) and are ignored for a prebuilt network.
     Every RNG substream is named (``schedule``, ``probing/<host>``,
     ...), so building the schedule without — or before — probing
     changes no draw: composing this with the probe/tables stages in any
@@ -277,25 +279,15 @@ def prepare_collection(
     seed: int = 0,
     include_events: bool = True,
     network: Network | None = None,
-    substrate: str = "eager",
-    max_cached_segments: int | None = None,
 ) -> CollectionPlan:
     """Run the shared stages of a collection, exactly once per run.
 
     Substrate build (unless ``network`` is passed in), the probing
     subsystem, routing tables and the measurement schedule — the plan
-    :func:`collect_rows` evaluates against.  ``substrate`` /
-    ``max_cached_segments`` configure the build (see
-    :meth:`Network.build`) and are ignored for a prebuilt network.
+    :func:`collect_rows` evaluates against.
     """
     plan = prepare_collection_base(
-        spec,
-        duration_s,
-        seed=seed,
-        include_events=include_events,
-        network=network,
-        substrate=substrate,
-        max_cached_segments=max_cached_segments,
+        spec, duration_s, seed=seed, include_events=include_events, network=network
     )
 
     # the probing subsystem + routing tables (if any method needs them)
@@ -318,8 +310,7 @@ def collect_rows(plan: CollectionPlan, host_lo: int, host_hi: int) -> Trace:
     Returns a partial :class:`Trace` (full run meta, schedule row order)
     covering exactly those hosts' probes.  Each block consumes its own
     ``routes/<host>`` and ``traffic/<host>`` substreams, so the result
-    is identical whether blocks run in one process, across threads, or
-    in separate worker processes.
+    is identical whether blocks run in one call or across threads.
     """
     with telemetry.span("shard-collect", cat="shard", host_lo=host_lo, host_hi=host_hi):
         trace = _collect_rows(plan, host_lo, host_hi)

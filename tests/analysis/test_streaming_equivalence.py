@@ -11,8 +11,6 @@ order.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -112,16 +110,6 @@ class TestSpilledRunEquivalence:
     def test_thread_executor(self, ds, sequential, eager, tmp_path):
         col = ShardedCollector(
             EngineConfig(n_shards=4, executor="thread", spill_dir=tmp_path)
-        ).collect(ds, DURATION, seed=SEED, network=sequential.network)
-        snap = StreamingAnalyzer.from_run_dir(col.spill_dir).snapshot()
-        assert_snapshot_matches_eager(snap, eager)
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="process executor needs fork()")
-    def test_process_executor(self, ds, sequential, eager, tmp_path):
-        col = ShardedCollector(
-            EngineConfig(
-                n_shards=3, executor="process", max_workers=3, spill_dir=tmp_path
-            )
         ).collect(ds, DURATION, seed=SEED, network=sequential.network)
         snap = StreamingAnalyzer.from_run_dir(col.spill_dir).snapshot()
         assert_snapshot_matches_eager(snap, eager)

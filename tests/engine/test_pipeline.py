@@ -5,14 +5,12 @@ The engine's one scheduler fingerprints identically to the sequential
 ``collect()`` across the executor x shard-count x spill zoo, the
 streaming merge is byte equal to ``Trace.concatenate``, finished shards
 reach the streaming analyzer while a slow one is still running, and a
-dead process worker names the shard it lost.
+shard that raises names its stage and host range.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -68,14 +66,6 @@ class TestPipelinedEquivalence:
             ds, DURATION, seed=SEED, network=seq.network
         )
         assert col.tables.fingerprint() == seq.tables.fingerprint()
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="process executor needs fork()")
-    def test_process_executor_matches_sequential(self, sequential):
-        ds, seq = sequential
-        col = ShardedCollector(n_shards=3, executor="process", max_workers=2).collect(
-            ds, DURATION, seed=SEED, network=seq.network
-        )
-        assert_traces_equal(col.trace, seq.trace)
 
     def test_spilled_matches_barrier_spill_bytes(self, sequential, tmp_path):
         # each shard file holds exactly the barrier (sequential-plan)
@@ -149,14 +139,6 @@ class TestSparsePipelinedEquivalence:
         )
         assert_traces_equal(col.trace, seq.trace)
         assert col.tables.fingerprint() == seq.tables.fingerprint()
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="process executor needs fork()")
-    def test_process_executor_matches_sequential(self, sparse_sequential):
-        ds, seq = sparse_sequential
-        col = ShardedCollector(n_shards=3, executor="process", max_workers=2).collect(
-            ds, DURATION, seed=SEED, network=seq.network
-        )
-        assert_traces_equal(col.trace, seq.trace)
 
     def test_spilled_matches_in_ram_bytes(self, sparse_sequential, tmp_path):
         ds, seq = sparse_sequential
@@ -286,24 +268,47 @@ def test_serial_run_scatters_each_part_before_the_next_shard(sequential, monkeyp
     assert_traces_equal(col.trace, seq.trace)
 
 
-# -- a dead process worker ----------------------------------------------------
+# -- a failing shard ----------------------------------------------------------
+# ronnarrow's 17 hosts in 2 shards: [0, 9) and [9, 17)
 
 
-def _exit_on_last_shard(plan, host_lo, host_hi):
-    """A collect kernel whose worker process dies on the last host range."""
-    if host_hi == plan.n_hosts:
-        os._exit(3)
-    return collect_rows(plan, host_lo, host_hi)
+class ShardFailed(RuntimeError):
+    """What the failing kernels below raise on the last host range."""
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="process executor needs fork()")
-def test_dead_process_worker_names_its_shard(sequential, monkeypatch):
-    # one worker runs the shards in order, so the last range's is the
-    # only result still pending when its worker dies
+def _fail_on_last(kernel):
+    def failing(plan, host_lo, host_hi):
+        if host_hi == plan.n_hosts:
+            raise ShardFailed("injected")
+        return kernel(plan, host_lo, host_hi)
+
+    return failing
+
+
+@pytest.mark.parametrize("executor", ["serial", "thread"])
+@pytest.mark.parametrize("stage, kernel", [("collect", "collect_rows"), ("probe", "probe_rows")])
+def test_failing_shard_names_itself(sequential, monkeypatch, executor, stage, kernel):
+    # the kernel's own exception type surfaces, noted with its shard
     ds, seq = sequential
-    monkeypatch.setattr(sharding, "collect_rows", _exit_on_last_shard)
-    collector = ShardedCollector(n_shards=2, executor="process", max_workers=1)
-    with pytest.raises(BrokenProcessPool, match=r"collect shard \[9, 17\)"):
+    monkeypatch.setattr(sharding, kernel, _fail_on_last(getattr(sharding, kernel)))
+    collector = ShardedCollector(n_shards=2, executor=executor, max_workers=2)
+    with pytest.raises(ShardFailed, match=rf"{stage} shard \[9, 17\)"):
+        collector.collect(ds, DURATION, seed=SEED, network=seq.network)
+
+
+@pytest.mark.parametrize("executor", ["serial", "thread"])
+def test_failing_table_block_names_itself(sequential, monkeypatch, executor):
+    ds, seq = sequential
+    real = sharding.build_table_block
+
+    def failing(loss, lat, failed, interval, params, host_lo, host_hi, relay_set):
+        if host_hi == 17:
+            raise ShardFailed("injected")
+        return real(loss, lat, failed, interval, params, host_lo, host_hi, relay_set)
+
+    monkeypatch.setattr(sharding, "build_table_block", failing)
+    collector = ShardedCollector(n_shards=2, executor=executor, max_workers=2)
+    with pytest.raises(ShardFailed, match=r"tables shard \[9, 17\)"):
         collector.collect(ds, DURATION, seed=SEED, network=seq.network)
 
 

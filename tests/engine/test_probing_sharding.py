@@ -4,10 +4,9 @@ layout, executor and scenario family.
 
 The sharded probe grid is :func:`probe_rows` over :func:`plan_shards`
 layouts merged with :func:`merge_probe_blocks` (serially or on a thread
-pool); the process executor is checked end to end through the routing
-tables the engine hands back (``CollectionResult.tables``)."""
+pool).  The engine's own tables (``CollectionResult.tables``) are
+checked end to end in ``test_pipeline.py``."""
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,7 +21,6 @@ from repro.core.reactive import (
     run_probing,
 )
 from repro.core.selector import select_paths
-from repro.engine import ShardedCollector
 from repro.netsim import Network, RngFactory
 from repro.scenarios import flash_crowd, quiet_wide_area, stress_mesh
 from repro.testbed import dataset
@@ -124,17 +122,6 @@ def test_batched_selection_matches_per_slot_loop(source_key):
         np.testing.assert_array_equal(sel.loss_second, tables.loss_second[slot])
         np.testing.assert_array_equal(sel.lat_best, tables.lat_best[slot])
         np.testing.assert_array_equal(sel.lat_second, tables.lat_second[slot])
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="process executor needs fork()")
-def test_process_executor_matches_sequential():
-    # forked probe shards feed the engine's tables: bitwise the tables
-    # built from the sequential probe series
-    network, params, seq = reference_for("ronnarrow")
-    col = ShardedCollector(n_shards=3, executor="process", max_workers=3).collect(
-        dataset("ronnarrow"), DURATION, seed=SEED, network=network
-    )
-    assert col.tables.fingerprint() == build_routing_tables(seq, params).fingerprint()
 
 
 class TestProbeBlockPlumbing:

@@ -2,8 +2,6 @@
 identical to the sequential pipeline, for any shard layout, executor
 and scenario family."""
 
-import os
-
 import pytest
 
 from repro.api import ExperimentSpec, Runner
@@ -73,7 +71,6 @@ class TestConfigValidation:
     def test_rejects_bad_fields(self):
         for kwargs in (
             dict(n_shards=0),
-            dict(executor="gpu"),
             dict(max_workers=0),
             dict(min_hosts=0),
             dict(substrate="mmap"),
@@ -82,6 +79,11 @@ class TestConfigValidation:
         ):
             with pytest.raises(ValueError):
                 EngineConfig(**kwargs)
+
+    @pytest.mark.parametrize("executor", ["process", "gpu", None])
+    def test_executor_is_serial_or_thread(self, executor):
+        with pytest.raises(ValueError, match=r"\('serial', 'thread'\)"):
+            EngineConfig(executor=executor)
 
     def test_collector_rejects_config_plus_overrides(self):
         with pytest.raises(ValueError, match="not both"):
@@ -123,16 +125,6 @@ class TestEquivalence:
             ds, DURATION, seed=6, network=seq.network
         )
         assert_traces_equal(col.trace, seq.trace)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="process executor needs fork()")
-def test_process_executor_matches_sequential():
-    ds = dataset("ronnarrow")
-    seq = collect(ds, DURATION, seed=6)
-    col = ShardedCollector(n_shards=3, executor="process", max_workers=3).collect(
-        ds, DURATION, seed=6, network=seq.network
-    )
-    assert_traces_equal(col.trace, seq.trace)
 
 
 def test_fresh_network_build_matches_shared_substrate():

@@ -110,18 +110,6 @@ class TestSpillEquivalence:
         assert_traces_equal(col.trace, seq.trace)
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="process executor needs fork()")
-def test_process_executor_spills_paths_not_rows(tmp_path):
-    ds, seq = sequential_for("ronnarrow")
-    col = ShardedCollector(
-        EngineConfig(
-            n_shards=3, executor="process", max_workers=3, spill_dir=tmp_path
-        )
-    ).collect(ds, DURATION, seed=6, network=seq.network)
-    assert_traces_equal(col.trace, seq.trace)
-    assert len(list(tmp_path.glob("*/shard-*.npz"))) == 3
-
-
 def test_rerun_with_new_layout_clears_stale_shards(tmp_path):
     # regression: a 2-shard and then a 4-shard collection of one run
     # share a run directory; the second must not leave the first's

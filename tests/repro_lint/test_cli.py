@@ -82,7 +82,7 @@ class TestCli:
     def test_list_rules_catalogue(self, mini_repo):
         proc = run_cli("--list-rules", cwd=mini_repo)
         assert proc.returncode == 0
-        for code in ("DET001", "DET002", "DET003", "DET004", "SHARD001", "SHARD002", "API001", "LNT002"):
+        for code in ("DET001", "DET002", "DET003", "DET004", "SHARD001", "API001", "LNT002"):
             assert code in proc.stdout
 
 

@@ -1,4 +1,4 @@
-"""SHARD001/SHARD002: cross-file kernel registration, purity, pickling."""
+"""SHARD001: cross-file kernel registration and purity."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ def src(code: str) -> str:
 DISPATCH = src(
     """
     from mylib.kernels import collect
-    def run_shards(plan, ranges, kernel, worker=None, initializer=None):
+    def run_shards(plan, ranges, kernel, worker=None):
         return [kernel(plan, lo, hi) for lo, hi in ranges]
     def go(plan, ranges):
         return run_shards(plan, ranges, kernel=collect)
@@ -133,93 +133,29 @@ class TestShardKernelPurity:
         }
         assert codes(sources, select=["SHARD001"]) == ["SHARD001"]
 
-
-class TestExecutorCallableModuleLevel:
-    def test_lambda_worker_fires(self, lint):
-        findings = lint(
-            src(
-                """
-                from mylib.engine import run_shards
-                def go(plan, ranges, kernel):
-                    return run_shards(plan, ranges, kernel=kernel, worker=lambda r: r)
-                """
-            ),
-            select=["SHARD002"],
-        )
-        assert [f.code for f in findings] == ["SHARD002"]
-        assert "lambda" in findings[0].message
-
-    def test_nested_function_worker_fires(self, codes):
-        assert codes(
-            src(
-                """
-                from mylib.engine import run_shards
-                def go(plan, ranges, kernel):
-                    def w(r):
-                        return r
-                    return run_shards(plan, ranges, kernel=kernel, worker=w)
-                """
-            ),
-            select=["SHARD002"],
-        ) == ["SHARD002"]
-
-    def test_nested_initializer_via_executor_fires(self, codes):
-        assert codes(
-            src(
-                """
-                from concurrent.futures import ProcessPoolExecutor
-                def go(plan):
-                    def init():
-                        pass
-                    return ProcessPoolExecutor(4, initializer=init)
-                """
-            ),
-            select=["SHARD002"],
-        ) == ["SHARD002"]
-
-    def test_module_level_worker_clean(self, codes):
-        assert (
-            codes(
-                src(
-                    """
-                    from mylib.engine import run_shards
-                    def _run_shard(r):
-                        return r
-                    def go(plan, ranges, kernel):
-                        return run_shards(plan, ranges, kernel=kernel, worker=_run_shard)
-                    """
-                ),
-                select=["SHARD002"],
-            )
-            == []
-        )
-
-    def test_cross_file_nested_def_fires(self, codes):
-        # resolved through imports to a def nested in another module
+    def test_worker_keyword_registration(self, codes):
+        # a worker= callable is checked like a kernel
         sources = {
-            "src/mylib/helpers.py": src(
+            "src/mylib/engine.py": src(
                 """
-                def make():
-                    def inner(r):
-                        return r
-                    return inner
+                from mylib.kernels import collect
+                def go(pool, plan):
+                    return pool.submit(plan, (0, 1), worker=collect)
                 """
             ),
-            "src/mylib/use.py": src(
+            "src/mylib/kernels.py": src(
                 """
-                from mylib.helpers import make
-                def go(run_shards, plan, ranges, kernel):
-                    return run_shards(plan, ranges, kernel=kernel, worker=make)
+                def collect(plan, lo, hi):
+                    plan.tally += 1
                 """
             ),
         }
-        # 'make' itself is module-level, so this is clean...
-        assert codes(sources, select=["SHARD002"]) == []
+        assert codes(sources, select=["SHARD001"]) == ["SHARD001"]
 
 
 class TestEngineRegistration:
-    """The engine's pool takes its callables as ``kernel=``/``worker=``
-    keywords, so SHARD001 keeps checking every real shard kernel."""
+    """The engine's pool takes its kernels as ``kernel=`` keywords, so
+    SHARD001 keeps checking every real shard kernel."""
 
     def test_engine_kernels_registered(self):
         from repro_lint import LintConfig
@@ -235,6 +171,4 @@ class TestEngineRegistration:
             "repro.testbed.collection.collect_rows",
             "repro.core.reactive.probe_rows",
             "repro.engine.spill.collect_rows_spilled",
-            "repro.engine.sharding._probe_task",
-            "repro.engine.sharding._collect_task",
         } <= project.shard_kernels

@@ -34,7 +34,7 @@ def baseline_fingerprint():
 
 
 class TestFingerprintInvariance:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
     def test_executors_match_baseline_with_telemetry_on(
         self, executor, baseline_fingerprint
     ):

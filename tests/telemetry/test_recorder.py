@@ -1,4 +1,4 @@
-"""Recorder mechanics: no-op default, event shapes, scoping, envelopes."""
+"""Recorder mechanics: no-op default, event shapes, scoping."""
 
 from __future__ import annotations
 
@@ -36,7 +36,6 @@ class TestNullRecorder:
             assert s is NULL.span("y")
         NULL.counter_add("c", 5)
         NULL.gauge_set("g", 1.0)
-        NULL.absorb([{"ev": "counter", "name": "c", "value": 1}])
         assert NULL.mark() == 0
         assert NULL.counter_snapshot() == {}
         assert NULL.events() == []
@@ -117,25 +116,6 @@ class TestRecorder:
         (ev,) = rec.events()
         assert ev["args"]["queue_wait_ns"] == 123
 
-    def test_absorb_reaggregates_counters_and_appends_spans(self):
-        rec = Recorder()
-        rec.counter_add("rows", 1)
-        rec.absorb(
-            [
-                {"ev": "span", "name": "w", "cat": "shard", "ts_ns": 1, "dur_ns": 2,
-                 "pid": 999, "tid": 1, "args": {}},
-                {"ev": "counter", "name": "rows", "value": 4},
-                {"ev": "gauge", "name": "rss", "value": 9.0},
-            ]
-        )
-        events = rec.events()
-        spans = [ev for ev in events if ev["ev"] == "span"]
-        assert spans[0]["pid"] == 999  # worker identity preserved
-        counters = {ev["name"]: ev["value"] for ev in events if ev["ev"] == "counter"}
-        assert counters["rows"] == 5
-        gauges = {ev["name"]: ev["value"] for ev in events if ev["ev"] == "gauge"}
-        assert gauges["rss"] == 9.0
-
 
 class TestGlobalSwitch:
     def test_enable_disable_round_trip(self):
@@ -164,37 +144,6 @@ class TestGlobalSwitch:
             )
             assert out.returncode == 0, out.stderr
             assert out.stdout.strip() == expected
-
-
-class TestEnvelopes:
-    def test_run_instrumented_passthrough_when_disabled(self):
-        assert telemetry.run_instrumented(lambda x: x + 1, 2) == 3
-
-    def test_run_instrumented_captures_into_envelope(self):
-        def kernel(lo, hi):
-            with telemetry.span("shard-collect", cat="shard", host_lo=lo, host_hi=hi):
-                telemetry.counter_add("collect.rows", hi - lo)
-            return hi - lo
-
-        outer = telemetry.enable()
-        env = telemetry.run_instrumented(kernel, 3, 8)
-        assert isinstance(env, telemetry.ShardEnvelope)
-        assert env.value == 5
-        kinds = sorted(ev["ev"] for ev in env.events)
-        assert kinds == ["counter", "span"]
-        # the worker-local recorder did not leak into the parent's
-        assert outer.events() == []
-        assert telemetry.get_recorder() is outer
-
-    def test_unwrap_envelope_absorbs_and_passes_value(self):
-        rec = telemetry.enable()
-        env = telemetry.ShardEnvelope(
-            "result", [{"ev": "counter", "name": "rows", "value": 3}]
-        )
-        assert telemetry.unwrap_envelope(env) == "result"
-        assert telemetry.unwrap_envelope("plain") == "plain"
-        (ev,) = rec.events()
-        assert ev["name"] == "rows" and ev["value"] == 3
 
 
 class TestClock:

@@ -1,7 +1,7 @@
 """repro-lint: AST-based determinism & shard-purity analyzer.
 
-The reproduction's headline guarantee — every sharded/threaded/process/
-spilled run is bitwise-identical to the sequential reference — rests on
+The reproduction's headline guarantee — every sharded/threaded/spilled
+run is bitwise-identical to the sequential reference — rests on
 conventions no general-purpose linter checks: named per-host RNG
 substreams, canonical ascending-``probe_id`` row order, capacity-chosen
 id dtypes, and read-only shared state inside shard kernels.  This

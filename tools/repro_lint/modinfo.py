@@ -5,9 +5,7 @@ Rules never match on surface spelling: ``np.random.seed``,
 resolve to the same qualified name before a verdict.  :class:`ModuleInfo`
 records what every top-level name in a module is bound to (imports,
 module-level ``def``/``class``) and resolves attribute chains against
-that map; nested function definitions are recorded too, because the
-shard rules must distinguish module-level callables (picklable by
-qualified name) from closures.
+that map.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-__all__ = ["DefRecord", "ModuleInfo", "dotted_name", "root_name"]
+__all__ = ["ModuleInfo", "dotted_name", "root_name"]
 
 
 def dotted_name(node: ast.AST) -> str | None:
@@ -37,27 +35,6 @@ def root_name(node: ast.AST) -> str | None:
     return node.id if isinstance(node, ast.Name) else None
 
 
-@dataclass(frozen=True)
-class DefRecord:
-    """One function definition seen anywhere in the analyzed file set."""
-
-    qualname: str  # module.scope.name
-    path: str
-    node: ast.AST  # FunctionDef | AsyncFunctionDef
-    module_level: bool  # directly at module (or module-class) scope
-    params: tuple[str, ...]
-
-
-def _params(node) -> tuple[str, ...]:
-    a = node.args
-    names = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
-    if a.vararg:
-        names.append(a.vararg.arg)
-    if a.kwarg:
-        names.append(a.kwarg.arg)
-    return tuple(names)
-
-
 @dataclass
 class ModuleInfo:
     """Name bindings of one module, for qualified-name resolution."""
@@ -67,7 +44,6 @@ class ModuleInfo:
     is_package: bool = False  # path is an __init__.py
     imports: dict[str, str] = field(default_factory=dict)  # alias -> qualified
     module_defs: set[str] = field(default_factory=set)  # top-level def/class names
-    defs: list[DefRecord] = field(default_factory=list)
 
     @classmethod
     def collect(cls, tree: ast.Module, module: str, path: str, is_package: bool = False):
@@ -108,37 +84,18 @@ class ModuleInfo:
                     bound = alias.asname or alias.name
                     self.imports[bound] = f"{base}.{alias.name}" if base else alias.name
 
-    def _walk_defs(self, tree: ast.Module) -> None:
-        def visit(node: ast.AST, scope: tuple[str, ...], fn_depth: int) -> None:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if not scope:
-                        self.module_defs.add(child.name)
-                    qual = ".".join((self.module, *scope, child.name)).strip(".")
-                    self.defs.append(
-                        DefRecord(
-                            qualname=qual,
-                            path=self.path,
-                            node=child,
-                            module_level=fn_depth == 0,
-                            params=_params(child),
-                        )
-                    )
-                    visit(child, (*scope, child.name), fn_depth + 1)
-                elif isinstance(child, ast.ClassDef):
-                    if not scope:
-                        self.module_defs.add(child.name)
-                    # methods of a module-level class are picklable by
-                    # qualified name, so the class does not raise fn_depth
-                    visit(child, (*scope, child.name), fn_depth)
-                elif isinstance(child, ast.Assign) and not scope:
-                    for t in child.targets:
-                        if isinstance(t, ast.Name):
-                            self.module_defs.add(t.id)
-                else:
-                    visit(child, scope, fn_depth)
-
-        visit(tree, (), 0)
+    def _walk_defs(self, node: ast.AST) -> None:
+        """Record the top-level names ``node`` binds: ``def``, ``class``
+        and plain assignments, also under module-level ``if``/``try``."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                self.module_defs.add(child.name)
+            elif isinstance(child, ast.Assign):
+                for t in child.targets:
+                    if isinstance(t, ast.Name):
+                        self.module_defs.add(t.id)
+            else:
+                self._walk_defs(child)
 
     # -- resolution --------------------------------------------------------
 

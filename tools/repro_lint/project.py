@@ -1,13 +1,12 @@
 """Project model: the analyzed file set and its cross-file facts.
 
-Most rules are local to one file, but the shard-purity rules are not:
-``pool.submit(..., kernel=probe_rows, worker=_probe_task)`` in
-``repro.engine.sharding`` registers a function *defined in*
-``repro.core.reactive`` as a shard kernel.  The project pass therefore runs first, over every file:
+Most rules are local to one file, but the shard-purity rule is not:
+``pool.submit(..., kernel=probe_rows)`` in ``repro.engine.sharding``
+registers a function *defined in* ``repro.core.reactive`` as a shard
+kernel.  The project pass therefore runs first, over every file:
 it derives each file's module name from the configured source roots,
-collects every function definition (with its nesting level), resolves
-the callables handed to the sharded dispatch, and hands the resulting
-registry to the per-file rules.
+resolves the callables handed to the sharded dispatch, and hands the
+resulting registry to the per-file rules.
 """
 
 from __future__ import annotations
@@ -16,24 +15,19 @@ import ast
 from dataclasses import dataclass, field
 
 from .config import LintConfig
-from .modinfo import DefRecord, ModuleInfo, dotted_name
+from .modinfo import ModuleInfo, dotted_name
 from .registry import Finding
 
 __all__ = ["ParsedFile", "Project", "module_name_for"]
 
-#: keywords of the sharded dispatch whose values run in worker processes
-#: and must therefore be module-level (SHARD002): worker is mapped over
-#: shard ranges by the process pool, initializer seeds each worker.
-EXECUTOR_KEYWORDS = ("worker", "initializer")
-
-#: keywords registering a callable as a shard kernel (SHARD001): both the
-#: serial/thread kernel and the process worker evaluate shards against
-#: shared read-only state.
+#: keywords registering a callable as a shard kernel (SHARD001): a
+#: kernel, or a worker wrapping one, evaluates shards against shared
+#: read-only state.
 KERNEL_KEYWORDS = ("kernel", "worker")
 
-#: positional layout of run_shards(plan, ranges, kernel, worker,
-#: initializer, ...) for call sites that skip the keywords.
-RUN_SHARDS_POSITIONS = {2: "kernel", 3: "worker", 4: "initializer"}
+#: where run_shards(plan, ranges, kernel, worker, ...) takes those two
+#: callables, for call sites that skip the keywords.
+RUN_SHARDS_POSITIONS = (2, 3)
 
 
 def module_name_for(path: str, src_roots: tuple[str, ...]) -> tuple[str, bool]:
@@ -70,8 +64,6 @@ class Project:
     """Everything the rules may need beyond their own file."""
 
     files: dict[str, ParsedFile] = field(default_factory=dict)
-    #: qualified name -> definition record (last one wins on collision)
-    defs: dict[str, DefRecord] = field(default_factory=dict)
     #: qualified names registered as shard kernels via the dispatch
     shard_kernels: set[str] = field(default_factory=set)
     parse_errors: list[Finding] = field(default_factory=list)
@@ -96,8 +88,6 @@ class Project:
             module, is_package = module_name_for(path, config.src_roots)
             info = ModuleInfo.collect(tree, module, path, is_package)
             project.files[path] = ParsedFile(path, source, tree, info)
-            for rec in info.defs:
-                project.defs[rec.qualname] = rec
         for parsed in project.files.values():
             project._collect_kernels(parsed)
         return project
@@ -106,32 +96,23 @@ class Project:
         for node in ast.walk(parsed.tree):
             if not isinstance(node, ast.Call):
                 continue
-            for kw_name, value in kernel_arguments(node):
-                if kw_name not in KERNEL_KEYWORDS:
-                    continue
+            for value in kernel_arguments(node):
                 qual = parsed.modinfo.resolve(value)
                 if qual is not None:
                     self.shard_kernels.add(qual)
 
 
 def kernel_arguments(call: ast.Call):
-    """(role, value) pairs of sharded-dispatch callables at one call site.
+    """The callables one call site hands to the sharded dispatch.
 
-    Yields the ``kernel=``/``worker=``/``initializer=`` keywords of any
-    call, the positional equivalents of a ``run_shards(...)`` call, and
-    the ``initializer`` of a ``ProcessPoolExecutor(...)`` construction.
+    Yields the values of any call's ``kernel=``/``worker=`` keywords
+    and their positional equivalents in a ``run_shards(...)`` call.
     """
-    roles = set(KERNEL_KEYWORDS) | set(EXECUTOR_KEYWORDS)
     for kw in call.keywords:
-        if kw.arg in roles:
-            yield kw.arg, kw.value
+        if kw.arg in KERNEL_KEYWORDS:
+            yield kw.value
     callee = dotted_name(call.func)
-    tail = callee.rsplit(".", 1)[-1] if callee else None
-    if tail == "run_shards":
-        for idx, role in RUN_SHARDS_POSITIONS.items():
+    if callee and callee.rsplit(".", 1)[-1] == "run_shards":
+        for idx in RUN_SHARDS_POSITIONS:
             if idx < len(call.args):
-                yield role, call.args[idx]
-    elif tail == "ProcessPoolExecutor":
-        # ProcessPoolExecutor(max_workers, mp_context, initializer, initargs)
-        if len(call.args) >= 3:
-            yield "initializer", call.args[2]
+                yield call.args[idx]

@@ -1,7 +1,7 @@
 """DET rules: randomness, dtype and row-order determinism.
 
 The reproduction's equivalence suites hold every execution layout —
-shards, threads, processes, spill — bitwise-identical to the sequential
+shards, threads, spill — bitwise-identical to the sequential
 reference.  Randomness that does not flow through named substreams,
 id columns narrower than their capacity, and code that assumes
 time-sorted trace rows all break that equality in ways the test zoo

@@ -1,13 +1,12 @@
-"""SHARD rules: purity and pickling discipline of shard kernels.
+"""SHARD rules: purity of shard kernels.
 
 The engine's equivalence guarantee assumes shard kernels are pure
 functions of ``(plan, host_lo, host_hi)``: every shard reads the same
 shared :class:`Network`/substrate/plan and writes only its own outputs.
 A kernel that mutates shared state makes results depend on shard order
-and executor; a worker that is not a module-level function breaks the
-process pool's pickling by qualified name.  Kernel identity comes from
-the project pass: any callable handed to the sharded dispatch as
-``kernel=``/``worker=`` (see :mod:`repro_lint.project`) is a kernel.
+and executor.  Kernel identity comes from the project pass: any
+callable handed to the sharded dispatch as ``kernel=``/``worker=`` (see
+:mod:`repro_lint.project`) is a kernel.
 """
 
 from __future__ import annotations
@@ -15,10 +14,9 @@ from __future__ import annotations
 import ast
 
 from ..modinfo import root_name
-from ..project import EXECUTOR_KEYWORDS, kernel_arguments
 from ..registry import Rule, register_rule
 
-__all__ = ["ShardKernelPurity", "ExecutorCallableModuleLevel"]
+__all__ = ["ShardKernelPurity"]
 
 
 def _flatten_targets(node: ast.AST):
@@ -114,7 +112,7 @@ class ShardKernelPurity(Rule):
             self.report(
                 node,
                 f"shard kernel {fn.name!r} writes module global {name!r}; "
-                "results would depend on which shards ran in this process",
+                "results would depend on which shards ran before it",
             )
 
     def _taint(self, fn, params: set[str]) -> set[str]:
@@ -157,74 +155,3 @@ class ShardKernelPurity(Rule):
                 break
         return tainted
 
-
-@register_rule
-class ExecutorCallableModuleLevel(Rule):
-    code = "SHARD002"
-    name = "executor-callable-module-level"
-    invariant = (
-        "callables handed to the process executor (worker=/initializer=) "
-        "are module-level functions, never lambdas or closures"
-    )
-    rationale = (
-        "process pools pickle callables by qualified name; a lambda or "
-        "nested function works under fork by accident and breaks under "
-        "spawn, so the engine forbids them outright"
-    )
-
-    def __init__(self, ctx) -> None:
-        super().__init__(ctx)
-        self._local_defs: list[set[str]] = []
-
-    def _visit_function(self, node) -> None:
-        names = {
-            child.name
-            for child in ast.walk(node)
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and child is not node
-        }
-        self._local_defs.append(names)
-        self.generic_visit(node)
-        self._local_defs.pop()
-
-    visit_FunctionDef = _visit_function
-    visit_AsyncFunctionDef = _visit_function
-
-    def visit_Call(self, node: ast.Call) -> None:
-        for role, value in kernel_arguments(node):
-            if role not in EXECUTOR_KEYWORDS:
-                continue
-            if isinstance(value, ast.Lambda):
-                self.report(
-                    value,
-                    f"{role}= callable is a lambda; the process executor "
-                    "pickles workers by qualified name — define a "
-                    "module-level function",
-                )
-                continue
-            self._check_name(role, value)
-        self.generic_visit(node)
-
-    def _check_name(self, role: str, value: ast.AST) -> None:
-        # a name defined inside an enclosing function is a closure
-        if isinstance(value, ast.Name) and any(
-            value.id in names for names in self._local_defs
-        ):
-            self.report(
-                value,
-                f"{role}= callable {value.id!r} is a nested function; "
-                "closures cannot be pickled by qualified name — move it to "
-                "module level",
-            )
-            return
-        qual = self.resolve(value)
-        if qual is None:
-            return
-        rec = self.ctx.project.defs.get(qual)
-        if rec is not None and not rec.module_level:
-            self.report(
-                value,
-                f"{role}= callable {qual!r} is defined inside a function; "
-                "process workers must be module-level so spawn can pickle "
-                "them by qualified name",
-            )
