@@ -79,7 +79,7 @@ class DesignSpace:
         set_ = object.__setattr__  # frozen: set once, here
         set_(self, "_probe_pps", probing_overhead_pps(self.n_nodes, self.probe_interval_s))
         set_(self, "_redundant_limit", independence_limit(self.cross_clp))
-        set_(self, "_log_clp", np.log(max(self.cross_clp, 1e-9)))
+        set_(self, "_log_clp", float(np.log(max(self.cross_clp, 1e-9))))
 
     # -- the three limits -------------------------------------------------
 
@@ -118,8 +118,10 @@ class DesignSpace:
         frac = improvement / lim
         if frac <= 0:
             return 0.0
-        k = np.log(1.0 - frac) / self._log_clp
-        return float(max(k, 0.0) * flow_pps)
+        # Python floats from here: the same IEEE operations as NumPy
+        # scalars at a fraction of the call cost
+        k = float(np.log(1.0 - frac)) / self._log_clp
+        return max(k, 0.0) * flow_pps
 
     # -- the decision -----------------------------------------------------
 
@@ -131,10 +133,10 @@ class DesignSpace:
         headroom = (1.0 - utilisation) * self.link_capacity_pps
 
         r_over = self.reactive_overhead_pps(improvement)
-        reactive_ok = improvement <= self.reactive_limit() and r_over <= headroom
+        reactive_ok = improvement <= self.best_path_improvement and r_over <= headroom
 
         d_over = self.redundant_overhead_pps(improvement, flow_pps)
-        redundant_ok = improvement <= self.redundant_limit() and d_over <= headroom
+        redundant_ok = improvement <= self._redundant_limit and d_over <= headroom
 
         if reactive_ok and redundant_ok:
             cheaper = "reactive" if r_over <= d_over else "redundant"
@@ -144,13 +146,7 @@ class DesignSpace:
             cheaper = "redundant"
         else:
             cheaper = "none"
-        return DesignPoint(
-            improvement=improvement,
-            utilisation=utilisation,
-            reactive_feasible=reactive_ok,
-            redundant_feasible=redundant_ok,
-            cheaper=cheaper,
-        )
+        return DesignPoint(improvement, utilisation, reactive_ok, redundant_ok, cheaper)
 
     def grid(self, n_improvement: int = 21, n_utilisation: int = 21) -> list[DesignPoint]:
         """Sweep the whole plane (the benchmark renders this as Fig. 6)."""

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import telemetry
+
 from .config import NetworkConfig
 from .rng import RngFactory
 from .state import SegmentState, build_state
@@ -52,6 +54,17 @@ def conditional_loss_prob(
     denom = np.maximum(1.0 - p1, 1e-12)
     off = np.clip((p2 - p1 * on) / denom, 0.0, 1.0)
     return np.where(lost1, on, off)
+
+
+def _rows_with(plane: np.ndarray) -> np.ndarray:
+    """Per row of a boolean (rows x path width) plane: is any entry set?
+
+    Scatters the rows of the set entries' flat indices, which costs far
+    less than ``any(axis=1)`` when few are set.
+    """
+    rows = np.zeros(plane.shape[0], dtype=bool)
+    rows[np.flatnonzero(plane) // plane.shape[1]] = True
+    return rows
 
 
 @dataclass
@@ -94,6 +107,7 @@ class _Detail:
     lost_out: np.ndarray
     lost: np.ndarray  # (n,) bool
     latency: np.ndarray  # (n,)
+    hot: np.ndarray  # (n,) bool: rows whose next copy is conditioned
 
 
 class Network:
@@ -266,12 +280,10 @@ class Network:
         self._check(pids, times)
         segs = self.paths.seg[pids]
         t = times[:, None] + self.paths.offset[pids]
-        valid = segs >= 0
         p_c = self.state.congestion.severity_at(segs, t)
         p_o = self.state.outage.severity_at(segs, t)
-        p_b = np.where(valid, self.state.base_loss[np.clip(segs, 0, None)], 0.0)
-        survive = (1.0 - p_c) * (1.0 - p_o) * (1.0 - p_b)
-        survive = np.where(valid, survive, 1.0)
+        # padding reads 0 from all three, so it survives with 1.0
+        survive = (1.0 - p_c) * (1.0 - p_o) * (1.0 - self.state.base_loss_pad[segs])
         return 1.0 - survive.prod(axis=1) * (1.0 - self.paths.forward_loss[pids])
 
     def path_mean_loss(self, pid: int, n_samples: int = 2048) -> float:
@@ -309,70 +321,85 @@ class Network:
         ``random`` for congestion, outage and background loss (the three
         planes ``rng.random((3,) + shape)`` would fill), ``random`` per
         row for forwarding loss, then ``gamma`` jitter and ``uniform``
-        queueing.
+        queueing.  Only the draws force full-shape work: the three loss
+        compares, background loss and the jitter product.  The rest is
+        sparse-first, on the entries or rows where a severity can be
+        non-zero (most are quiet, Section 4.2):
 
-        Footprint rule: an unconditioned chunk peaks within 8 (rows x
-        path width) float64 planes, so each draw is consumed before the
-        next is made and the latency terms are built in place.  Under
-        the two-thread pool, peak RSS follows this per-chunk peak.
-        glibc serves arrays below its dynamic mmap threshold (raised to
-        about 10 MB by set-up) from the thread's arena, and returns the
-        arena's free top only once it reaches the trim threshold, about
-        twice that; a chunk peaking just short of it keeps its
-        high-water mark resident.
+        * the lookups search the busy entries alone (``severity_at``);
+        * conditioning runs on ``first.hot``, the rows where the first
+          copy met a non-zero congestion or outage severity or lost the
+          packet to either cause; on every other row ``_condition``
+          returns its ``p2`` bitwise (``p1 = +0.0``, ``lost1`` False);
+        * the queueing term runs on rows with a non-zero congestion
+          severity and the delay inflation on rows with a non-zero delay
+          severity.  Each sums the same contiguous (rows x path width)
+          layout, so every row sum keeps its bits, and every other row
+          would have added +0.0.
+
+        Footprint rule: a chunk, conditioned or not, peaks within 8
+        (rows x path width) float64 planes, so each draw is consumed
+        before the next is made, the loss draws share one buffer, and
+        conditioning allocates only for its rows.  Under the two-thread
+        pool, peak RSS follows this per-chunk peak.  glibc serves arrays
+        below its dynamic mmap threshold (raised to about 10 MB by
+        set-up) from the thread's arena, and returns the arena's free
+        top only once it reaches the trim threshold, about twice that; a
+        chunk peaking just short of it keeps its high-water mark
+        resident.
         """
+        state = self.state
         segs = self.paths.seg[pids]
         shape = segs.shape
         t = self.paths.offset[pids]
         t += times[:, None]
-        pad = segs < 0
-        safe = np.clip(segs, 0, None)
 
-        p_cong = self.state.congestion.severity_at(segs, t)
-        p_out = self.state.outage.severity_at(segs, t)
+        p_cong = state.congestion.severity_at(segs, t)
+        p_out = state.outage.severity_at(segs, t)
+        congested = _rows_with(p_cong != 0.0)
+        hot = congested | _rows_with(p_out != 0.0)
 
-        p_cong_eff, p_out_eff = p_cong, p_out
-        if first is not None:
-            # which of this copy's segments also appear on the first's path?
-            match = (segs[:, :, None] == first.segs[:, None, :]) & ~pad[:, :, None]
-            k = match.argmax(axis=2)  # first matching column in the first's path
-            # argmax is 0 on an all-False row, where match[..., 0] is False
-            shared = np.take_along_axis(match, k[..., None], axis=2)[..., 0]
-            rows = np.arange(len(pids))[:, None]
-            dt = np.abs(t - first.t[rows, k])
+        cond = np.flatnonzero(first.hot) if first is not None else np.zeros(0, dtype=np.int64)
+        if cond.size:
+            cong_eff, out_eff = self._condition_rows(cond, segs, t, p_cong, p_out, first)
 
-            cong_corr = self.state.congestion.corr_length[safe]
-            out_corr = self.state.outage.corr_length[safe]
-
-            p_cong_eff = self._condition(
-                p_cong, first.p_cong, first.lost_cong, shared, k, dt, cong_corr
-            )
-            p_out_eff = self._condition(p_out, first.p_out, first.lost_out, shared, k, dt, out_corr)
-
-        lost_cong = rng.random(shape) < p_cong_eff
-        lost_out = rng.random(shape) < p_out_eff
-        p_base = self.state.base_loss[safe]
-        np.copyto(p_base, 0.0, where=pad)
-        lost = lost_cong.any(axis=1) | lost_out.any(axis=1)
-        lost |= (rng.random(shape) < p_base).any(axis=1)  # memoryless: never conditioned
-        del p_base
+        u = rng.random(shape)
+        lost_cong = u < p_cong
+        if cond.size:
+            lost_cong[cond] = u[cond] < cong_eff
+        rng.random(out=u)
+        lost_out = u < p_out
+        if cond.size:
+            lost_out[cond] = u[cond] < out_eff
+        rng.random(out=u)
+        lost = _rows_with(u < state.base_loss_pad[segs])  # memoryless: never conditioned
+        del u
+        lost_either = _rows_with(lost_cong) | _rows_with(lost_out)
+        lost |= lost_either
+        hot |= lost_either
         lost |= rng.random(len(pids)) < self.paths.forward_loss[pids]
 
-        scale = self.state.jitter_s[safe]
-        np.copyto(scale, 0.0, where=pad)
-        scale /= 2.0
         jitter = rng.gamma(2.0, 1.0, shape)
-        jitter *= scale
+        jitter *= state.half_jitter_pad[segs]
         latency = self.paths.prop_total[pids] + jitter.sum(axis=1)
-        del scale, jitter
-        # p_cong is +0.0 on padding and queue_s finite and >= 0, so the
-        # queueing term is +0.0 there without a mask
-        queue = self.state.queue_s[safe]
-        queue *= p_cong
-        queue *= rng.uniform(0.5, 1.5, shape)
-        latency += queue.sum(axis=1)
-        del queue
-        latency += self.state.delay.severity_at(segs, t).sum(axis=1)
+        del jitter
+        u = rng.uniform(0.5, 1.5, shape)
+        rows = np.flatnonzero(congested)
+        if rows.size:
+            queue = state.queue_pad[segs[rows]]
+            queue *= p_cong[rows]
+            queue *= u[rows]
+            latency[rows] += queue.sum(axis=1)
+        del u
+        delay = state.delay.severity_at(segs, t)
+        rows = np.flatnonzero(_rows_with(delay != 0.0))
+        if rows.size:
+            latency[rows] += delay[rows].sum(axis=1)
+
+        rec = telemetry.get_recorder()
+        if rec.enabled:
+            rec.counter_add("network.rows", len(pids))
+            rec.counter_add("network.conditioned_rows", cond.size)
         return _Detail(
             segs=segs,
             t=t,
@@ -382,7 +409,48 @@ class Network:
             lost_out=lost_out,
             lost=lost,
             latency=latency,
+            hot=hot,
         )
+
+    def _condition_rows(
+        self,
+        rows: np.ndarray,
+        segs: np.ndarray,
+        t: np.ndarray,
+        p_cong: np.ndarray,
+        p_out: np.ndarray,
+        first: _Detail,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The conditioned congestion and outage severities of ``rows``,
+        each (len(rows), path width)."""
+        segs, t = segs[rows], t[rows]
+        # which of this copy's segments also appear on the first's path?
+        match = (segs[:, :, None] == first.segs[rows][:, None, :]) & (segs >= 0)[:, :, None]
+        k = match.argmax(axis=2)  # first matching column in the first's path
+        # argmax is 0 on an all-False row, where match[..., 0] is False
+        shared = np.take_along_axis(match, k[..., None], axis=2)[..., 0]
+        del match
+        dt = np.abs(t - np.take_along_axis(first.t[rows], k, axis=1))
+        state = self.state
+        cong = self._condition(
+            p_cong[rows],
+            first.p_cong[rows],
+            first.lost_cong[rows],
+            shared,
+            k,
+            dt,
+            state.cong_corr_pad[segs],
+        )
+        out = self._condition(
+            p_out[rows],
+            first.p_out[rows],
+            first.lost_out[rows],
+            shared,
+            k,
+            dt,
+            state.out_corr_pad[segs],
+        )
+        return cong, out
 
     @staticmethod
     def _condition(

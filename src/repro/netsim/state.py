@@ -96,22 +96,30 @@ def shifted_busy(
 def busy_lookup(
     bounds: np.ndarray,
     sev: np.ndarray,
-    mask: np.ndarray,
+    busy: np.ndarray,
     sids: np.ndarray,
     t: np.ndarray,
+    horizon: float,
     shift: float,
 ) -> np.ndarray:
-    """Severity at ``(sids, t)`` where ``mask`` holds, else 0.
+    """Severity at ``(sids, t)`` on the busy entries inside the horizon, else 0.
 
     ``bounds``/``sev`` are a bank's busy entries behind the sentinel;
-    ``mask`` must already exclude padding, out-of-horizon times and
-    quiet segments, and ``sids`` hold 0 wherever the query had padding.
-    Only the masked entries are searched; every other entry answers 0
-    without a search.
+    ``busy`` says which entries' segments are busy and must be False on
+    padding.  The arguments broadcast together.  Only the busy entries
+    are compressed out, checked against ``0 <= t < horizon`` and
+    searched; every other entry answers 0 without a search.
     """
+    busy, sids, t = np.broadcast_arrays(busy, sids, t)
     out = np.zeros(t.shape)
-    q = t[mask] + sids[mask] * shift
-    out[mask] = sev[np.searchsorted(bounds, q, side="right") - 1]
+    at = np.flatnonzero(busy)
+    q = t.ravel()[at]
+    s = sids.ravel()[at]
+    inside = (q >= 0.0) & (q < horizon)
+    if not inside.all():
+        at, q, s = at[inside], q[inside], s[inside]
+    q += s * shift
+    out.put(at, sev[np.searchsorted(bounds, q, side="right") - 1])
     return out
 
 
@@ -197,7 +205,9 @@ class TimelineBank:
         bounds, sev, _ = shifted_busy(
             np.arange(busy.size), offsets, boundaries, severity, busy, self.shift
         )
-        self._busy = busy
+        #: the busy flags plus one trailing False that NO_SEGMENT (-1) reads
+        self._flags = np.append(busy, False)
+        self._busy = self._flags[:-1]
         self._bounds = np.concatenate([[SENTINEL], bounds])
         self._sev = np.concatenate([[0.0], sev])
         self.corr_length = corr_length
@@ -210,19 +220,42 @@ class TimelineBank:
         """Severity of segment ``sids[i]`` at ``times[i]`` (vectorised).
 
         ``sids`` may contain NO_SEGMENT (-1) padding; those entries and
-        out-of-horizon times return 0.
+        out-of-horizon times return 0.  One gather of the busy flags
+        (padding reads the trailing False) is the only full-shape pass
+        before the output: the horizon check and the search run on the
+        busy entries alone (:func:`busy_lookup`).
         """
         sids = np.asarray(sids)
         t = np.asarray(times, dtype=np.float64)
-        ok = (sids >= 0) & (t >= 0.0) & (t < self.horizon)
-        safe_sid = np.where(ok, sids, 0)
-        ok &= self._busy[safe_sid]
-        return busy_lookup(self._bounds, self._sev, ok, safe_sid, t, self.shift)
+        # a gather with intp indices takes NumPy's fast path
+        busy = self._flags[sids.astype(np.intp, copy=False)]
+        return busy_lookup(self._bounds, self._sev, busy, sids, t, self.horizon, self.shift)
+
+
+#: per source field of :class:`SegmentState`: the padded array packet
+#: evaluation reads, and how it is derived from the field
+_PADDED = {
+    "base_loss": ("base_loss_pad", lambda values: values),
+    "jitter_s": ("half_jitter_pad", lambda values: values / 2.0),
+    "queue_s": ("queue_pad", lambda values: values),
+    "congestion": ("cong_corr_pad", lambda bank: bank.corr_length),
+    "outage": ("out_corr_pad", lambda bank: bank.corr_length),
+}
 
 
 @dataclass
 class SegmentState:
-    """Generated state for one topology over one horizon."""
+    """Generated state for one topology over one horizon.
+
+    Packet evaluation gathers five per-segment arrays at every (packet,
+    segment) entry, padding included, so it reads them through copies
+    with one trailing 0 that NO_SEGMENT (-1) reads: ``base_loss_pad``,
+    ``half_jitter_pad`` (``jitter_s / 2.0``), ``queue_pad`` and the
+    congestion and outage correlation lengths ``cong_corr_pad`` and
+    ``out_corr_pad``.  Each is built when its source field is assigned,
+    at construction or when a caller replaces the field, never on first
+    use, so shard threads sharing a state only read them.
+    """
 
     topology: Topology
     horizon: float
@@ -233,6 +266,12 @@ class SegmentState:
     jitter_s: np.ndarray  # (n_segments,) mean jitter in seconds
     queue_s: np.ndarray  # (n_segments,) queue delay at severity 1.0
     host_down: TimelineBank  # over host ids
+
+    def __setattr__(self, name: str, value) -> None:
+        super().__setattr__(name, value)
+        if name in _PADDED:
+            pad, derive = _PADDED[name]
+            super().__setattr__(pad, np.append(derive(value), 0.0))
 
     def host_down_at(self, host_ids: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Boolean: was each host down at the given time?"""

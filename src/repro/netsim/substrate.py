@@ -207,7 +207,7 @@ class LazyTimelineBank:
                 view = self._load(self._distinct(safe_sid, missing))
                 state = view.state[safe_sid]
         ok &= state == BUSY
-        return busy_lookup(view.bounds, view.sev, ok, safe_sid, t, self.shift)
+        return busy_lookup(view.bounds, view.sev, ok, safe_sid, t, self.horizon, self.shift)
 
     @property
     def mean_severity(self) -> np.ndarray:

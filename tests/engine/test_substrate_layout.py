@@ -98,6 +98,19 @@ def test_banks_answer_like_their_timelines(substrate, kind):
             assert bank.cached_segments <= bank.max_cached
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_banks_broadcast_segments_against_instants(substrate, kind):
+    """A column of segment ids against a row of instants answers like
+    the explicitly broadcast query, on every residency."""
+    _, topo, timelines = substrate
+    rng = np.random.default_rng(5)
+    sids = rng.integers(-1, len(topo.registry), size=(40, 1))
+    times = rng.uniform(-60.0, HORIZON * 1.1, size=(1, 30))
+    want = bits(truth(timelines[kind], *np.broadcast_arrays(sids, times)))
+    for label, bank in banks(topo, kind).items():
+        assert bits(bank.severity_at(sids, times)) == want, label
+
+
 def test_list_constructor_matches_csr(substrate):
     _, topo, timelines = substrate
     n = len(topo.registry)

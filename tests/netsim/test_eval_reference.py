@@ -1,11 +1,14 @@
 """Draw contract of packet evaluation, pinned against a reference.
 
-``Network._eval`` searches only the busy (packet, segment) entries and
-makes each RNG draw only after the previous one is consumed.  The
-reference below is the straightforward evaluation, kept here on
-purpose: every severity lookup searches the full (rows x path width)
-shape, one ``rng.random((3,) + shape)`` serves the three loss causes,
-and the latency terms are built out of place; the conditioning,
+``Network._eval`` searches only the busy (packet, segment) entries,
+conditions only the rows where the previous copy met a non-zero
+severity or lost the packet, adds the queueing and delay terms only on
+rows with a non-zero severity, and makes each RNG draw only after the
+previous one is consumed.  The reference below is the straightforward
+evaluation, kept here on purpose: every severity lookup searches the
+full (rows x path width) shape, every row is conditioned, one
+``rng.random((3,) + shape)`` serves the three loss causes, and the
+latency terms are built full-shape and out of place; the conditioning,
 ``Network._condition``, is shared.  Both must return the same bits and
 leave the generator in the same state, for single packets, pairs and
 trains, on eager and lazy banks, with padded direct paths and with
@@ -27,6 +30,9 @@ CONFIG = config_2003().scale_episodes(rate=40.0).with_overrides(
     pathology=PathologyParams(rate_per_day=200.0)
 )
 ROWS = 3000
+#: train spacing of Section 5.2's FEC groups: outage episodes end inside
+#: some trains while the loss they caused persists
+FEC_SPACING = 0.1
 
 
 def _full_shape_severity(bank, sids, t):
@@ -190,6 +196,36 @@ def test_pairs(nets, substrate, gap, same_path):
 def test_train(nets, substrate):
     pids, _, start = _queries(nets["eager"])
     times = start[:, None] + 0.01 * np.arange(6)
+
+    def sample(net, rng):
+        return net.sample_train(pids, times, rng=rng)
+
+    _run(nets, substrate, sample)
+
+
+def test_spaced_train_loses_packets_at_zero_severity(nets):
+    """Some rows of a spaced train lose a packet without meeting a
+    non-zero severity anywhere: an earlier packet's loss persisted past
+    its episode's end.  Only that loss marks the row for conditioning
+    the next packet, so ``test_spaced_train`` fails if the conditioned
+    rows leave lost rows out."""
+    net = nets["reference"]
+    pids, _, start = _queries(net)
+    times = start[:, None] + FEC_SPACING * np.arange(6)
+    rng = np.random.default_rng(7)
+    detail, rows = None, 0
+    for j in range(5):  # the last packet conditions nothing
+        detail = net._eval(pids, times[:, j], rng, first=detail)
+        severe = (detail.p_cong != 0.0) | (detail.p_out != 0.0)
+        lost = detail.lost_cong | detail.lost_out
+        rows += int((lost.any(axis=1) & ~severe.any(axis=1)).sum())
+    assert rows > 0
+
+
+@pytest.mark.parametrize("substrate", ["eager", "lazy"])
+def test_spaced_train(nets, substrate):
+    pids, _, start = _queries(nets["eager"])
+    times = start[:, None] + FEC_SPACING * np.arange(6)
 
     def sample(net, rng):
         return net.sample_train(pids, times, rng=rng)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.netsim import Network, config_2003
 from repro.netsim.network import conditional_loss_prob
 from repro.testbed import hosts_2003
@@ -50,6 +51,42 @@ class TestConditionalLossProb:
                 np.array([p1]), np.array([p2]), np.array([rho]), np.array([lost])
             )[0]
             assert 0.0 <= v <= 1.0
+
+
+#: one (packet, segment) entry of a second copy: its severity ``p2``
+#: (0, subnormals and 1 drawn on purpose), spacing ``dt`` and correlation
+#: length (0 each drawn on purpose), whether the segment is shared, and
+#: the first copy's column ``k`` it matches
+_ENTRY = st.tuples(
+    st.floats(0.0, 1.0) | st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0]),
+    st.floats(0.0, 1e6) | st.just(0.0),
+    st.floats(0.0, 1e4) | st.just(0.0),
+    st.booleans(),
+    st.integers(0, 3),
+)
+
+
+class TestQuietFirstCopy:
+    """``Network._eval`` conditions only the rows where the first copy
+    met a non-zero severity or lost the packet; every other row keeps
+    its unconditioned severity, which this pins bitwise."""
+
+    @given(st.lists(st.lists(_ENTRY, min_size=4, max_size=4), min_size=1, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_condition_returns_p2_when_first_copy_met_nothing(self, rows):
+        p2, dt, corr, shared, k = (np.array(col) for col in zip(*(e for r in rows for e in r)))
+        shape = (len(rows), 4)
+        p2 = p2.reshape(shape)
+        got = Network._condition(
+            p2,
+            np.zeros(shape),
+            np.zeros(shape, dtype=bool),
+            shared.reshape(shape),
+            k.reshape(shape),
+            dt.reshape(shape),
+            corr.reshape(shape),
+        )
+        assert got.dtype == p2.dtype and got.tobytes() == p2.tobytes()
 
 
 def _clean_pair(net):
@@ -243,3 +280,50 @@ class TestFootprint:
             tracemalloc.stop()
         planes = peak / (rows * p.seg.shape[1] * 8)
         assert planes <= 8.0, f"one chunk peaked at {planes:.1f} planes"
+
+    @pytest.mark.parametrize("second", ["same path", "relay path"])
+    def test_conditioned_chunk_peaks_within_eight_planes(self, second):
+        # a pair's second copy: conditioning allocates for its rows only
+        net = Network.build(hosts_2003(), config_2003(), horizon=6 * 3600.0, seed=1)
+        p = net.paths
+        src, dst = np.nonzero(~np.eye(p.n_hosts, dtype=bool))
+        r = np.random.default_rng(0)
+        rows = 12_000
+        pick = r.integers(0, len(src), rows)
+        s, d = src[pick], dst[pick]
+        direct = p.direct_pids(s, d)
+        if second == "same path":
+            pids2 = direct
+        else:
+            pair = s * p.n_hosts + d
+            offsets = p.relay_set.offsets
+            pids2 = p.n_hosts**2 + r.integers(offsets[pair], offsets[pair + 1])
+        times = np.sort(r.uniform(0.0, net.horizon, rows))
+        rng = np.random.default_rng(1)
+        first = net._eval(direct, times, rng)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            net._eval(pids2, times, rng, first=first)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        planes = peak / (rows * p.seg.shape[1] * 8)
+        assert planes <= 8.0, f"one conditioned chunk peaked at {planes:.1f} planes"
+
+
+class TestTelemetry:
+    def test_rows_and_conditioned_rows_are_counted(self, tiny_network, rng):
+        p = tiny_network.paths
+        n = 4000
+        pids = np.full(n, p.direct_pid(0, 1))
+        times = rng.uniform(0, tiny_network.horizon, n)
+        with telemetry.recording() as rec:
+            tiny_network.sample_packets(pids, times, rng=rng)
+            single = rec.counter_snapshot()
+            tiny_network.sample_pairs(pids, pids, times, rng=rng)
+            both = rec.counter_snapshot()
+        assert single["network.rows"] == n
+        assert single["network.conditioned_rows"] == 0
+        assert both["network.rows"] == 3 * n
+        assert 0 < both["network.conditioned_rows"] < n

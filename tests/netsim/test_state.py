@@ -1,5 +1,7 @@
 """Stochastic state generation and the vectorised timeline bank."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,28 @@ class TestBuildState:
     def test_outage_corr_much_longer_than_congestion(self, state):
         sid = state.topology.registry.sids_of_kind(SegmentKind.ACCESS_OUT)[0]
         assert state.outage.corr_length[sid] > 100 * state.congestion.corr_length[sid]
+
+    def test_padded_arrays_follow_their_fields(self, state):
+        # packet evaluation reads these; -1 (padding) must read 0, and a
+        # caller replacing a field (as the Section 5.2 bench does) must
+        # see the padded copy follow
+        def padded(values):
+            return np.append(values, 0.0).tobytes()
+
+        st = copy.copy(state)
+        n = len(st.base_loss)
+        for _ in range(2):
+            assert st.base_loss_pad.tobytes() == padded(st.base_loss)
+            assert st.half_jitter_pad.tobytes() == padded(st.jitter_s / 2.0)
+            assert st.queue_pad.tobytes() == padded(st.queue_s)
+            assert st.cong_corr_pad.tobytes() == padded(st.congestion.corr_length)
+            assert st.out_corr_pad.tobytes() == padded(st.outage.corr_length)
+            st.base_loss = np.zeros(n)
+            st.jitter_s = np.full(n, 0.003)
+            st.queue_s = np.full(n, 0.002)
+            st.congestion = TimelineBank([Timeline.quiet(HORIZON, 0.5)] * n, HORIZON)
+            st.outage = TimelineBank([Timeline.quiet(HORIZON, 7.0)] * n, HORIZON)
+        assert state.base_loss_pad.any()  # the fixture's own state is untouched
 
     def test_host_down_timelines_per_host(self, state):
         assert isinstance(state.host_down, TimelineBank)
